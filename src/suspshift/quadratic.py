@@ -36,6 +36,19 @@ def _check_radicand(d: int) -> int:
     return d
 
 
+def floor_surd(a: int, b: int, d: int, c: int) -> int:
+    """Exact floor((a + b*sqrt(d)) / c) for integers a, b, c, d with c > 0, d >= 0.
+
+    With s = floor(b*sqrt(d)) the value is (a + s)/c plus less than 1/c, so
+    its floor is (a + s) // c.  s is one isqrt of b*b*d, taken as a ceiling
+    and negated when b < 0."""
+    t = b * b * d
+    s = math.isqrt(t)
+    if b < 0:
+        s = -s - (s * s != t)
+    return (a + s) // c
+
+
 class QuadraticReal:
     """Element a + b*sqrt(d) of the real quadratic field Q[sqrt(d)]."""
 
@@ -167,19 +180,7 @@ class QuadraticReal:
         c = math.lcm(self.a.denominator, self.b.denominator)
         big_a = self.a.numerator * (c // self.a.denominator)
         big_b = self.b.numerator * (c // self.b.denominator)
-        # floor(B*sqrt(d)): isqrt gives floor for B >= 0; shift for B < 0
-        t = big_b * big_b * self.d
-        if big_b >= 0:
-            fb = math.isqrt(t)
-        else:
-            r = math.isqrt(t)
-            fb = -r - (1 if r * r != t else 0)
-        m = (big_a + fb) // c  # first guess, may be off by one
-        while (self - (m + 1)).sign() >= 0:
-            m += 1
-        while (self - m).sign() < 0:
-            m -= 1
-        return m
+        return floor_surd(big_a, big_b, self.d, c)
 
     def frac(self) -> "QuadraticReal":
         return self - self.floor()

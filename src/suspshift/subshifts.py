@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from suspshift.quadratic import QuadraticReal, as_qr
+from suspshift.quadratic import QuadraticReal, as_qr, floor_surd
 
 Word = tuple  # tuple of ints
 
@@ -94,14 +94,29 @@ class PeriodicPoint(PointOracle):
 
 
 class SturmianPoint(PointOracle):
-    """Rotation coding of the orbit of `phase` under x -> x + alpha mod 1."""
+    """Rotation coding of the orbit of `phase` under x -> x + alpha mod 1.
+
+    Symbols are memoized by index in a plain dict.  The phase and the angle
+    never change, so a symbol computed once by `Sturmian.symbol_at` is final;
+    `block` computes only the indices it has not seen.  FlowPoints along one
+    orbit share their oracle, and with it the memo.
+    """
 
     def __init__(self, sturmian: "Sturmian", phase):
         self.st = sturmian
         self.phase = as_qr(phase, sturmian.alpha.d)
+        self._symbols = {}
 
     def block(self, i, j):
-        return tuple(self.st.symbol_at(self.phase, k) for k in range(i, j))
+        memo = self._symbols
+        symbol_at, phase = self.st.symbol_at, self.phase
+        out = []
+        for k in range(i, j):
+            c = memo.get(k)
+            if c is None:
+                c = memo[k] = symbol_at(phase, k)
+            out.append(c)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +275,19 @@ class SFT(Subshift):
         )
 
     def _language(self, n: int) -> frozenset:
+        """Walk the essential vertex graph: a word of length n >= memory is
+        admissible iff its memory-blocks form a path, so each level extends
+        the last by the out-edges of each word's final block.  Words come out
+        in lexicographic order, as a symbol-by-symbol filter would give."""
         if n < 1:
             raise ValueError("n >= 1")
-        words = [()]
-        for _ in range(n):
-            words = [
-                w + (c,)
-                for w in words
-                for c in range(self.alphabet_size)
-                if self.admissible(w + (c,))
-            ]
+        m = self.memory
+        if n < m:
+            return frozenset(sorted(w for w in self._vertex_factors if len(w) == n))
+        edges = self.edges
+        words = list(self.vertices)
+        for _ in range(n - m):
+            words = [w + v[-1:] for w in words for v in edges[w[-m:]]]
         return frozenset(words)
 
     def _adjacency_matrix(self):
@@ -372,6 +390,12 @@ class Sturmian(Subshift):
 
     Convention "low": symbol 1 iff {phase + i*alpha} lies in [0, alpha).
     Convention "high": symbol 1 iff it lies in [1 - alpha, 1).
+
+    Symbols are generated as a mechanical word (Lothaire, Algebraic
+    Combinatorics on Words, ch. 2): with x = phase + i*alpha, the low symbol
+    is floor(x) - floor(x - alpha) and the high symbol floor(x + alpha) -
+    floor(x).  Phase and angle are brought to one integer form
+    (A + B*sqrt(d))/C, so each symbol costs two exact integer floors.
     """
 
     alphabet_size = 2
@@ -391,11 +415,30 @@ class Sturmian(Subshift):
             self._i1 = (as_qr(0, alpha.d), alpha)  # [0, alpha)
         else:
             self._i1 = (one - alpha, one)  # [1-alpha, 1)
+        # alpha = (A + B*sqrt(d))/C over one common denominator C
+        c = math.lcm(alpha.a.denominator, alpha.b.denominator)
+        self._alpha_int = (
+            alpha.a.numerator * (c // alpha.a.denominator),
+            alpha.b.numerator * (c // alpha.b.denominator),
+            c,
+        )
+        # the symbol at i is floor(x_{j+1}) - floor(x_j), x_j = phase + j*alpha,
+        # with j = i - 1 (low) or j = i (high)
+        self._lag = 1 if convention == "low" else 0
 
     def symbol_at(self, phase: QuadraticReal, i: int) -> int:
-        x = (phase + i * self.alpha).frac()
-        lo, hi = self._i1
-        return 1 if (lo <= x < hi) else 0
+        pa, pb = phase.a, phase.b
+        d = self.alpha.d
+        if pb and phase.d != d:
+            raise ValueError(f"mixed radicands {phase.d} and {d}")
+        a_al, b_al, c_al = self._alpha_int
+        c = math.lcm(c_al, pa.denominator, pb.denominator)
+        scale = c // c_al
+        step_a, step_b = a_al * scale, b_al * scale
+        j = i - self._lag
+        a = pa.numerator * (c // pa.denominator) + j * step_a
+        b = pb.numerator * (c // pb.denominator) + j * step_b
+        return floor_surd(a + step_a, b + step_b, d, c) - floor_surd(a, b, d, c)
 
     def point(self, phase) -> SturmianPoint:
         return SturmianPoint(self, phase)

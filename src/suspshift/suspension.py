@@ -150,7 +150,12 @@ class SectionPiece:
 
 
 class CrossSection:
-    """Finite union of (anchored cylinder, time offset) pieces."""
+    """Finite union of (anchored cylinder, time offset) pieces.
+
+    The pieces are indexed once by (anchor, word length) and then by word, so
+    `match_at` reads the base window spanned by all pieces once and finds the
+    matching pieces by lookup.
+    """
 
     def __init__(self, pieces, validity_depth: int = 0, meta=None):
         self.pieces = [
@@ -159,6 +164,18 @@ class CrossSection:
         ]
         self.validity_depth = validity_depth
         self.meta = meta or {}
+        groups = {}
+        for k, piece in enumerate(self.pieces):
+            c = piece.cylinder
+            words = groups.setdefault((c.anchor, len(c.word)), {})
+            words.setdefault(tuple(c.word), []).append(k)
+        self._lo = min((anchor for anchor, _ in groups), default=0)
+        self._hi = max((anchor + n for anchor, n in groups), default=0)
+        # (start, end) of each group inside the window read by match_at
+        self._groups = [
+            (anchor - self._lo, anchor - self._lo + n, words)
+            for (anchor, n), words in groups.items()
+        ]
 
     def __len__(self):
         return len(self.pieces)
@@ -175,16 +192,14 @@ class CrossSection:
         return True
 
     def match_at(self, oracle: PointOracle, index: int):
-        """Piece indices whose cylinder condition holds at base coordinate
-        `index`, with their offsets."""
-        out = []
-        for k, piece in enumerate(self.pieces):
-            c = piece.cylinder
-            if tuple(oracle.block(index + c.anchor, index + c.anchor + len(c.word))) == tuple(
-                c.word
-            ):
-                out.append((piece.offset, k))
-        return out
+        """(offset, piece index) for each piece whose cylinder condition holds
+        at base coordinate `index`, in ascending piece index."""
+        window = tuple(oracle.block(index + self._lo, index + self._hi))
+        ks = []
+        for start, end, words in self._groups:
+            ks.extend(words.get(window[start:end], ()))
+        ks.sort()
+        return [(self.pieces[k].offset, k) for k in ks]
 
 
 @dataclass(frozen=True)

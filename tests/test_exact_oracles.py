@@ -1,0 +1,239 @@
+"""Independent checks of the fast exact oracles.
+
+- `Sturmian.symbol_at` (integer floors of the mechanical word) against the
+  definition frac(phase + i*alpha) in [lo, hi), evaluated here with
+  QuadraticReal sign tests;
+- the per-point symbol memo of `SturmianPoint.block` against fresh points;
+- the indexed `CrossSection.match_at` against a per-piece scan;
+- the edge walk of `SFT.language` against filtering all words by
+  `admissible`, including the order the words are stored in.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from suspshift.quadratic import QuadraticReal, qr, sqrt_d
+from suspshift.subshifts import (
+    SFT,
+    Cylinder,
+    PeriodicPoint,
+    Sturmian,
+    full_shift,
+    golden_mean_sft,
+)
+from suspshift.suspension import CrossSection
+
+ANGLES = {
+    "sqrt2-1": sqrt_d(2) - 1,
+    "sqrt3-1": sqrt_d(3) - 1,
+    "(sqrt5-1)/2": (sqrt_d(5) - 1) / 2,
+    "sqrt7-2": sqrt_d(7) - 2,
+}
+CASES = [(name, conv) for name in ANGLES for conv in ("low", "high")]
+SYSTEMS = {case: Sturmian(ANGLES[case[0]], case[1]) for case in CASES}
+
+
+def reference_floor(x: QuadraticReal) -> int:
+    """floor(x) from a float guess corrected by exact sign tests, so the
+    reference shares no floor code with the library."""
+    m = math.floor(float(x))
+    while (x - m).sign() < 0:
+        m -= 1
+    while (x - (m + 1)).sign() >= 0:
+        m += 1
+    return m
+
+
+def reference_symbol(alpha: QuadraticReal, convention: str, phase, i: int) -> int:
+    """The coding by definition: is frac(phase + i*alpha) in the symbol-1 arc?"""
+    one = QuadraticReal(1, 0, alpha.d)
+    lo, hi = (one - one, alpha) if convention == "low" else (one - alpha, one)
+    x = phase + i * alpha
+    x = x - reference_floor(x)
+    return 1 if lo <= x < hi else 0
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+indices = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=-10**15, max_value=10**15),
+)
+
+
+@st.composite
+def phase_and_index(draw, alpha):
+    """A quadratic phase, or one that puts x = phase + i*alpha (or x +- alpha)
+    exactly on a boundary of the coding arcs."""
+    i = draw(indices)
+    kind = draw(st.sampled_from(["random", "frac(-i*alpha)", "alpha", "1-alpha"]))
+    if kind == "random":
+        phase = QuadraticReal(draw(fractions), draw(fractions), alpha.d)
+    elif kind == "frac(-i*alpha)":
+        phase = (-i * alpha).frac() + draw(st.integers(-1, 1))
+    elif kind == "alpha":
+        phase = alpha
+    else:
+        phase = 1 - alpha
+    return phase, i
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_symbol_at_matches_definition(case, data):
+    sturmian = SYSTEMS[case]
+    phase, i = data.draw(phase_and_index(sturmian.alpha))
+    expected = reference_symbol(sturmian.alpha, sturmian.convention, phase, i)
+    assert sturmian.symbol_at(phase, i) == expected
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_symbol_at_on_arc_boundaries(case):
+    # x landing on 0, alpha and 1 - alpha exactly, at every index
+    sturmian = SYSTEMS[case]
+    alpha = sturmian.alpha
+    for i in (-10**9, -7, -1, 0, 1, 2, 13, 10**9):
+        for target in (qr(0, 0, alpha.d), alpha, 1 - alpha):
+            phase = (target - i * alpha).frac()
+            expected = reference_symbol(alpha, sturmian.convention, phase, i)
+            assert sturmian.symbol_at(phase, i) == expected
+
+
+def test_symbol_at_rejects_mixed_radicands():
+    with pytest.raises(ValueError):
+        SYSTEMS[("sqrt2-1", "low")].symbol_at(sqrt_d(3) - 1, 0)
+
+
+def test_rational_phase_with_other_radicand():
+    # a rational phase carries no radicand of its own
+    sturmian = SYSTEMS[("sqrt7-2", "high")]
+    phase = QuadraticReal(Fraction(2, 9), 0, 2)
+    for i in range(-5, 5):
+        assert sturmian.symbol_at(phase, i) == reference_symbol(
+            sturmian.alpha, "high", phase, i)
+
+
+# ---------------------------------------------------------------------------
+# the per-point memo
+
+
+windows = st.lists(
+    st.tuples(st.integers(-300, 300), st.integers(0, 40)), min_size=1, max_size=12
+)
+
+
+@pytest.mark.parametrize("case", [("sqrt2-1", "low"), ("(sqrt5-1)/2", "high")],
+                         ids=lambda c: f"{c[0]}-{c[1]}")
+@settings(max_examples=60, deadline=None)
+@given(windows=windows, phase=st.fractions(0, 1, max_denominator=1000))
+def test_memo_windows_equal_fresh_reads(case, windows, phase):
+    sturmian = SYSTEMS[case]
+    shared = sturmian.point(qr(phase, 0, sturmian.alpha.d))
+    for start, length in windows:
+        fresh = sturmian.point(qr(phase, 0, sturmian.alpha.d))
+        assert shared.block(start, start + length) == fresh.block(start, start + length)
+
+
+def test_memo_overlapping_negative_out_of_order():
+    sturmian = SYSTEMS[("sqrt2-1", "low")]
+    phase = qr(Fraction(3, 10))
+    shared = sturmian.point(phase)
+    for i, j in [(5, 30), (-20, 10), (25, 40), (-40, -30), (0, 0), (-35, 45), (7, 8)]:
+        expected = tuple(sturmian.symbol_at(phase, k) for k in range(i, j))
+        assert shared.block(i, j) == expected
+        assert sturmian.point(phase).block(i, j) == expected
+
+
+# ---------------------------------------------------------------------------
+# match_at against a per-piece scan
+
+
+def scan_match(section, oracle, index):
+    out = []
+    for k, piece in enumerate(section.pieces):
+        c = piece.cylinder
+        if tuple(oracle.block(index + c.anchor, index + c.end())) == tuple(c.word):
+            out.append((piece.offset, k))
+    return out
+
+
+def test_match_at_on_two_valued_section(two_valued_model):
+    section = two_valued_model.section()
+    assert len(section) == 35
+    base = two_valued_model.flow.base
+    rng = random.Random(3)
+    hits = 0
+    for _ in range(4):
+        x = base.point(qr(Fraction(rng.randrange(10**6), 10**6)))
+        for index in range(-50, 150):
+            got = section.match_at(x, index)
+            assert got == scan_match(section, x, index)
+            hits += bool(got)
+    assert hits > 0
+
+
+@st.composite
+def mixed_sections(draw):
+    """Random sections over a small alphabet: mixed anchors and lengths,
+    repeated words with distinct offsets, the occasional empty word."""
+    size = draw(st.integers(2, 3))
+    symbols = st.integers(0, size - 1)
+    pieces = draw(st.lists(
+        st.tuples(st.lists(symbols, min_size=0, max_size=4),
+                  st.integers(-4, 4),
+                  st.fractions(0, 2, max_denominator=5)),
+        min_size=1, max_size=12,
+    ))
+    if draw(st.booleans()):
+        word, anchor, offset = pieces[0]
+        pieces.append((word, anchor, offset + 1))
+    period = draw(st.lists(symbols, min_size=1, max_size=7))
+    section = CrossSection([(Cylinder(tuple(w), a), o) for w, a, o in pieces])
+    return section, PeriodicPoint(tuple(period))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mixed_sections())
+def test_match_at_on_mixed_sections(case):
+    section, oracle = case
+    for index in range(-8, 9):
+        assert section.match_at(oracle, index) == scan_match(section, oracle, index)
+
+
+# ---------------------------------------------------------------------------
+# SFT language by edge walk
+
+
+def filtered_language(sft, n):
+    return frozenset(
+        w for w in itertools.product(range(sft.alphabet_size), repeat=n)
+        if sft.admissible(w)
+    )
+
+
+SFTS = {
+    "golden": golden_mean_sft(),
+    "full3": full_shift(3),
+    "adjacency": SFT(3, adjacency=[[1, 1, 0], [0, 0, 1], [1, 0, 1]]),
+    "memory3": SFT(2, forbidden=[(1, 1, 1), (0, 0, 0, 0), (1, 0, 1)]),
+    "mixed-lengths": SFT(3, forbidden=[(2,), (0, 1, 0), (1, 1)]),
+    "trimmed": SFT(2, adjacency=[[1, 1], [0, 0]]),
+    "empty": SFT(2, forbidden=[(0,), (1,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SFTS))
+def test_language_walk_equals_filter(name):
+    sft = SFTS[name]
+    for n in range(1, 9):
+        got = sft.language(n)
+        want = filtered_language(sft, n)
+        assert got == want
+        # same words inserted in the same (lexicographic) order: downstream
+        # float sums over the language see the same iteration order
+        assert list(got) == list(frozenset(sorted(want)))
