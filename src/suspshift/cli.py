@@ -42,6 +42,8 @@ from suspshift.suspension import (
     orbit_capacity_discrete,
     return_to_section,
     sample_sft_orbit,
+    NotHit,
+    SFTWalk,
     time_delta_tower_entropy,
     CrossSection,
 )
@@ -64,6 +66,7 @@ ERRORS = (
     InfeasibleSchedule,
     NoMarkerFound,
     NoMarkersFound,
+    NotHit,
     ValueError,
     KeyError,
 )
@@ -104,6 +107,18 @@ def _measure_param(cfg, subshift):
     if spec == "parry":
         return parry_measure(subshift)
     return measure_from_json(spec, subshift=subshift)
+
+
+def _class_rows(pairs):
+    """(class, count, min, max) rows, sorted by class, of (class, time) pairs."""
+    stats = {}
+    for cls, t in pairs:
+        cur = stats.setdefault(cls, [0, t, t])
+        cur[0] += 1
+        cur[1] = min(cur[1], t)
+        cur[2] = max(cur[2], t)
+    return [(cls, c, repr(float(mn)), repr(float(mx)))
+            for cls, (c, mn, mx) in sorted(stats.items())]
 
 
 # -- subcommands -------------------------------------------------------------
@@ -169,17 +184,7 @@ def cmd_recode_two_valued(cfg, seed, out_dir, chash):
     horizon = int(p.get("horizon", 10000))
     pt = rf.sample_point(seed)
     census = rf.return_census_positions(pt, 0, horizon)[:returns]
-    stats = {}
-    for _, sym, t in census:
-        cls = {1: "p", 0: "q", 2: "remainder"}[sym]
-        cur = stats.setdefault(cls, [0, t, t])
-        cur[0] += 1
-        cur[1] = min(cur[1], t)
-        cur[2] = max(cur[2], t)
-    rows = [
-        (cls, c, repr(float(mn)), repr(float(mx)))
-        for cls, (c, mn, mx) in sorted(stats.items())
-    ]
+    rows = _class_rows(({1: "p", 0: "q", 2: "remainder"}[sym], t) for _, sym, t in census)
     files = [_write_csv(out_dir, "two_valued_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
     window = pt.block(0, horizon)
@@ -213,18 +218,9 @@ def cmd_recode_marked_binary(cfg, seed, out_dir, chash):
     horizon = int(p.get("horizon", 4000))
     pt = rf.sample_point(seed)
     census = rf.return_census_positions(pt, 0, horizon)
-    qq, delta = rf.constants["q"], rf.constants["delta"]
-    stats = {}
-    for _, sym, t in census:
-        cls = "p" if sym == 1 else ("remainder" if t > qq else "q")
-        cur = stats.setdefault(cls, [0, t, t])
-        cur[0] += 1
-        cur[1] = min(cur[1], t)
-        cur[2] = max(cur[2], t)
-    rows = [
-        (cls, c, repr(float(mn)), repr(float(mx)))
-        for cls, (c, mn, mx) in sorted(stats.items())
-    ]
+    qq = rf.constants["q"]
+    rows = _class_rows(("p" if sym == 1 else ("remainder" if t > qq else "q"), t)
+                       for _, sym, t in census)
     files = [_write_csv(out_dir, "marked_binary_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
     pattern = rf.constants["pattern"]
@@ -320,41 +316,26 @@ def cmd_kac_check(cfg, seed, out_dir, chash):
     partial, truncated = kac_expected_return(mu, a_symbols, tau_max)
     flow = SuspensionFlow(system, Roof.constant(1, system.alphabet_size))
     section = CrossSection([(Cylinder((s,), 0), qr(0)) for s in a_symbols])
-    rng = random.Random(seed)
+    # one lazily drawn orbit: its first hit of the section, then `returns` returns
+    point = make_flow_point(flow, SFTWalk(system, random.Random(seed)))
+    _, point, _ = return_to_section(flow, point, section, max_shifts=2000)
     total = qr(0)
-    count = 0
-    spectra = {}
-    while count < returns:
-        orbit = sample_sft_orbit(system, 2100, rng)
-        fp = make_flow_point(flow, orbit)
-        try:
-            t, landing, k = return_to_section(flow, fp, section, max_shifts=2000)
-        except Exception:
-            continue
-        for _ in range(min(1000, returns - count)):
-            t, landing, k = return_to_section(flow, landing, section,
-                                              max_shifts=2000)
-            total = total + t
-            count += 1
-            cur = spectra.setdefault(k, [0, t, t])
-            cur[0] += 1
-            cur[1] = min(cur[1], t)
-            cur[2] = max(cur[2], t)
-    mean = float(total) / count
+    pairs = []
+    for _ in range(returns):
+        t, point, k = return_to_section(flow, point, section, max_shifts=2000)
+        total = total + t
+        pairs.append((k, t))
+    mean = float(total) / returns
     rows = [
         ("simulated_mean", repr(mean)),
-        ("returns", count),
+        ("returns", returns),
         ("exact_truncated_mean", repr(float(partial))),
         ("truncated_mass", repr(float(truncated))),
     ]
     files = [_write_csv(out_dir, "kac.csv", ("quantity", "value"), rows, chash)]
-    srows = [
-        (piece, c, repr(float(mn)), repr(float(mx)))
-        for piece, (c, mn, mx) in sorted(spectra.items())
-    ]
     files.append(
         _write_csv(out_dir, "return_spectra.csv",
-                   ("piece", "count", "min", "max"), srows, chash)
+                   ("piece", "count", "min", "max"), _class_rows(pairs), chash)
     )
     return files
 

@@ -25,10 +25,6 @@ from suspshift.recode import ChainPoint, PreconditionFailed, RecodedFlow
 from suspshift.subshifts import Word, word_str
 
 
-class HorizonExceeded(Exception):
-    pass
-
-
 class NoMarkersFound(Exception):
     pass
 
@@ -105,50 +101,58 @@ class GeneratorModel:
         return ZFlowPoint(chain, coord, height)
 
     def roof_at(self, chain: ChainPoint, coord: int) -> QuadraticReal:
-        lo = coord - 2 * self.max_emission
-        hi = coord + 2 * self.max_emission
-        for start, ai in chain.atom_boundaries(lo, hi):
-            em = self.rf.atoms[ai]
-            if start <= coord < start + len(em.emission):
-                return em.durations[coord - start]
-        raise HorizonExceeded("coordinate outside the materialized chain")
+        # the +-2*max_emission cover fixes the order in which the chain
+        # draws its atoms, and with it every sampled point
+        reach = 2 * self.max_emission
+        chain.cover(coord - reach, coord + reach)
+        return chain.roofs[coord - chain.offset]
+
+    def _settle(self, chain: ChainPoint, coord: int, h: QuadraticReal):
+        """Normalize height h over coord to the unique (coord', h') with
+        0 <= h' < roof(coord'): walk the chain down while h < 0, else up
+        while h >= roof.  A negative h must lie below roof(coord), as it
+        does after a time shift back, since the walk down stops at h >= 0."""
+        if h.sign() < 0:
+            while h.sign() < 0:
+                coord -= 1
+                h = h + self.roof_at(chain, coord)
+            return coord, h
+        while h >= (r := self.roof_at(chain, coord)):
+            h = h - r
+            coord += 1
+        return coord, h
 
     def step(self, pt: "ZFlowPoint") -> "ZFlowPoint":
         """Exact time-p map on the recoded suspension."""
-        h = pt.height + self.p
-        coord = pt.coord
-        while True:
-            r = self.roof_at(pt.chain, coord)
-            if h < r:
-                return ZFlowPoint(pt.chain, coord, h)
-            h = h - r
-            coord += 1
+        return ZFlowPoint(pt.chain, *self._settle(pt.chain, pt.coord, pt.height + self.p))
 
     def step_back(self, pt: "ZFlowPoint") -> "ZFlowPoint":
-        h = pt.height - self.p
-        coord = pt.coord
-        while h.sign() < 0:
-            coord -= 1
-            h = h + self.roof_at(pt.chain, coord)
-        return ZFlowPoint(pt.chain, coord, h)
+        return ZFlowPoint(pt.chain, *self._settle(pt.chain, pt.coord, pt.height - self.p))
+
+    def _letter(self, chain: ChainPoint, coord: int, h: QuadraticReal) -> str:
+        chain.cover(coord, coord + 1)
+        if chain.symbols[coord - chain.offset] == 1:
+            return LETTER_P
+        return LETTER_Q if h < self.alpha else LETTER_A
 
     def letter(self, pt: "ZFlowPoint") -> str:
-        sym = pt.chain.block(pt.coord, pt.coord + 1)[0]
-        if sym == 1:
-            return LETTER_P
-        return LETTER_Q if pt.height < self.alpha else LETTER_A
+        return self._letter(pt.chain, pt.coord, pt.height)
 
     def name_of(self, pt: "ZFlowPoint", n: int) -> str:
-        """Tower letters of phi_{k p}(pt) for k in [-2n, 2n], exact."""
+        """Tower letters of phi_{k p}(pt) for k in [-2n, 2n], exact.
+
+        One pass: a single jump to time -2np, then 4n forward time-p steps,
+        each letter read from the chain's symbols and the test h < alpha.
+        The chain is read, and so materialized, exactly as by 2n `step_back`
+        calls followed by 4n `step` calls."""
         if n < 1:
-            raise HorizonExceeded("n must be positive")
-        cur = pt
-        for _ in range(2 * n):
-            cur = self.step_back(cur)
-        letters = [self.letter(cur)]
+            raise ValueError("n must be positive")
+        chain, p, settle, letter = pt.chain, self.p, self._settle, self._letter
+        coord, h = settle(chain, pt.coord, pt.height - 2 * n * p)
+        letters = [letter(chain, coord, h)]
         for _ in range(4 * n):
-            cur = self.step(cur)
-            letters.append(self.letter(cur))
+            coord, h = settle(chain, coord, h + p)
+            letters.append(letter(chain, coord, h))
         return "".join(letters)
 
 

@@ -8,10 +8,9 @@ from fractions import Fraction
 
 from suspshift.quadratic import qr, sqrt_d
 from suspshift.recode import (
-    BalancedCode,
     _choose_two_valued_pair,
-    candidate_pairs,
     find_marker_with_feasible_gaps,
+    marked_pair,
     recode_marked_binary,
     recode_two_valued,
 )
@@ -43,28 +42,13 @@ def find_two_valued_marker(flow, p, q, epsilon, delta, max_word_len=110, depth=4
     return find_marker_with_feasible_gaps(flow, ok, max_word_len, depth)
 
 
-def marked_binary_gap_feasible(t_return, p, q, delta, M, K, lang_count) -> bool:
-    for k, l, rem in sorted(candidate_pairs(t_return, p, q, delta),
-                            key=lambda x: (x[2], x[1], x[0])):
-        if k < 3 or l < M + 2 * K:
-            continue
-        zeros, ones = l - M - 2 * K, k - 1
-        if zeros > (ones - 1) * (K - 1):
-            continue
-        code = BalancedCode(ones + zeros, ones, first_last_one=True,
-                            max_interior_zero_run=K - 1)
-        if code.count() >= lang_count:
-            return True
-    return False
-
-
 def find_marked_binary_marker(flow, p, q, M, delta, max_word_len=60, depth=420,
                     lang_bound=130, k_range=(2, 7)):
     _validate_pq(p, q, delta)
 
     def ok(gap, t):
         return any(
-            marked_binary_gap_feasible(t, p, q, delta, M, K, lang_bound)
+            marked_pair(t, p, q, delta, M, K, lang_bound) is not None
             for K in range(*k_range)
         )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from suspshift.subshifts import Subshift, Word, word_str
+from suspshift.subshifts import DepthExceeded, Subshift, Word, word_str
 
 
 class NoMarkerFound(Exception):
@@ -31,7 +31,8 @@ class ReturnSpectrum:
     gap_counts: dict
 
 
-def _occurrence_starts(text: str, pattern: str):
+def occurrence_starts(text: str, pattern: str):
+    """Start of every occurrence of `pattern` in `text`, overlaps included."""
     out = []
     i = text.find(pattern)
     while i != -1:
@@ -62,7 +63,7 @@ def return_spectrum(subshift: Subshift, word: Word, depth: int) -> ReturnSpectru
     omitted = False
     first_max = 0
     for text in _scan_texts(subshift, depth):
-        starts = _occurrence_starts(text, pattern)
+        starts = occurrence_starts(text, pattern)
         if not starts:
             omitted = True
             continue
@@ -114,7 +115,7 @@ def verify_disjointness(subshift: Subshift, word: Word, n: int, depth: int) -> b
     marker at two starts closer than n."""
     pattern = word_str(tuple(word))
     for text in _scan_texts(subshift, depth):
-        starts = _occurrence_starts(text, pattern)
+        starts = occurrence_starts(text, pattern)
         for a, b in zip(starts, starts[1:]):
             if b - a < n:
                 return False
@@ -134,7 +135,7 @@ def _periodic_witness(subshift: Subshift, n: int):
     for m in range(1, n):
         try:
             pts = subshift.periodic_points(m)
-        except Exception:
+        except (NotImplementedError, DepthExceeded):
             continue
         if pts:
             return pts[0]

@@ -11,7 +11,7 @@ uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, as_qr
@@ -22,8 +22,7 @@ class InsufficientData(Exception):
     pass
 
 
-def _zero_like(x):
-    return x - x
+_ZERO = Fraction(0)  # the mass of an unseen block; Fractions are immutable
 
 
 def _xlogx(p) -> float:
@@ -277,7 +276,7 @@ class EmpiricalMeasure(Measure):
             return Fraction(1)
         if n > self.max_block:
             raise InsufficientData(f"block length {n} > max_block {self.max_block}")
-        return self._tables[n].get(tuple(word), Fraction(0))
+        return self._tables[n].get(tuple(word), _ZERO)
 
     def block_entropy(self, n: int) -> float:
         # a full period carries the exact block law; otherwise demand data
@@ -344,15 +343,18 @@ class DMetricConfig:
     depth: int = 8  # number of cylinder indicators used
 
     def cylinders(self):
-        out = []
-        n = 1
-        while len(out) < self.depth:
-            for w in sorted(self.subshift.language(n)):
-                out.append(w)
-                if len(out) == self.depth:
-                    break
-            n += 1
-        return out
+        """The first `depth` cylinders, listed once per config."""
+        if "_cylinders" not in self.__dict__:
+            out = []
+            n = 1
+            while len(out) < self.depth:
+                for w in sorted(self.subshift.language(n)):
+                    out.append(w)
+                    if len(out) == self.depth:
+                        break
+                n += 1
+            object.__setattr__(self, "_cylinders", tuple(out))
+        return list(self._cylinders)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Exact arithmetic in a real quadratic field Q[sqrt(d)].
 
-A value is a + b*sqrt(d) with rational a, b and a fixed non-square integer
-d >= 2.  Signs, comparisons, floors and fractional parts are computed
-exactly; floats appear only through an explicit float() call at output time.
-Purely rational values (b == 0) are compatible with every d.
+A value a + b*sqrt(d), with rational a, b and a fixed non-square integer
+d >= 2, is stored in integer form (A + B*sqrt(d))/C: integers A, B, C with
+C > 0 and gcd(A, B, C) = 1, so every value has exactly one form.  A ring
+operation is a few integer products and one gcd; a sign or a comparison
+compares two integer squares, and a floor is one isqrt (`floor_surd`).
+The rational coordinates a = A/C and b = B/C are read back as Fractions.
+Floats appear only through an explicit float() call at output time.
+Purely rational values (B == 0) are compatible with every d.
 """
 
 from __future__ import annotations
@@ -12,17 +16,11 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-RationalLike = (int, Fraction)
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, Rational):
+    if isinstance(x, (str, Rational)):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
@@ -49,100 +47,137 @@ def floor_surd(a: int, b: int, d: int, c: int) -> int:
     return (a + s) // c
 
 
-class QuadraticReal:
-    """Element a + b*sqrt(d) of the real quadratic field Q[sqrt(d)]."""
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and a non-square d."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # opposite signs: the larger square wins (never equal, d is no square)
+    if a * a > b * b * d:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
-    __slots__ = ("a", "b", "d")
+
+class QuadraticReal:
+    """Element a + b*sqrt(d) of the real quadratic field Q[sqrt(d)].
+
+    Stored as the integers A, B, C of (A + B*sqrt(d))/C in lowest terms
+    (C > 0, gcd(A, B, C) = 1); `a` and `b` are the Fractions A/C and B/C.
+    `QuadraticReal(a, b, d)` checks its rational inputs and the radicand;
+    ring operations build their results through `_make`, which only
+    reduces."""
+
+    __slots__ = ("A", "B", "C", "d")
 
     def __init__(self, a=0, b=0, d: int = 2):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "d", _check_radicand(d))
+        a, b = _as_fraction(a), _as_fraction(b)
+        _check_radicand(d)
+        # over C = lcm of the two denominators, gcd(A, B, C) is already 1
+        ca, cb = a.denominator, b.denominator
+        c = math.lcm(ca, cb)
+        _set_A(self, a.numerator * (c // ca))
+        _set_B(self, b.numerator * (c // cb))
+        _set_C(self, c)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticReal is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.C)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.C)
+
     # -- coercion ------------------------------------------------------
 
-    def _coerce(self, other) -> "QuadraticReal":
+    def _parts(self, other):
+        """(A, B, C) of `other` and the radicand of a result combining it
+        with self: other's if it is irrational, else self's."""
         if isinstance(other, QuadraticReal):
-            if other.b == 0:
-                return QuadraticReal(other.a, 0, self.d)
-            if self.b == 0:
-                return other
-            if other.d != self.d:
+            if other.B == 0:
+                return other.A, 0, other.C, self.d
+            if self.B != 0 and other.d != self.d:
                 raise ValueError(f"mixed radicands {self.d} and {other.d}")
-            return other
-        return QuadraticReal(_as_fraction(other), 0, self.d)
+            return other.A, other.B, other.C, other.d
+        if type(other) is int:
+            return other, 0, 1, self.d
+        f = _as_fraction(other)
+        return f.numerator, 0, f.denominator, self.d
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        d = self.d if self.b != 0 else o.d
-        return QuadraticReal(self.a + o.a, self.b + o.b, d)
+        a2, b2, c2, d = self._parts(other)
+        a1, b1, c1 = self.A, self.B, self.C
+        if c1 == c2:
+            return _make(a1 + a2, b1 + b2, c1, d)
+        return _make(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticReal(-self.a, -self.b, self.d)
+        return _make(-self.A, -self.B, self.C, self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        a2, b2, c2, d = self._parts(other)
+        a1, b1, c1 = self.A, self.B, self.C
+        if c1 == c2:
+            return _make(a1 - a2, b1 - b2, c1, d)
+        return _make(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, c1 * c2, d)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return _make(*self._parts(other)) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        d = self.d if self.b != 0 else o.d
-        return QuadraticReal(
-            self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d
-        )
+        a2, b2, c2, d = self._parts(other)
+        a1, b1 = self.A, self.B
+        return _make(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, self.C * c2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        # multiply by the conjugate; the norm a^2 - d b^2 is nonzero since
-        # d is not a square
-        norm = o.a * o.a - o.b * o.b * o.d
+        # multiply by the conjugate a2 - b2*sqrt(d); the norm a2^2 - d*b2^2
+        # is nonzero unless the divisor is, since d is not a square
+        a2, b2, c2, d = self._parts(other)
+        norm = a2 * a2 - b2 * b2 * d
         if norm == 0:
             raise ZeroDivisionError("division by zero")
-        inv = QuadraticReal(o.a / norm, -o.b / norm, o.d)
-        return self * inv
+        if norm < 0:
+            norm, c2 = -norm, -c2
+        a1, b1 = self.A, self.B
+        return _make((a1 * a2 - b1 * b2 * d) * c2, (b1 * a2 - a1 * b2) * c2,
+                     self.C * norm, d)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return _make(*self._parts(other)) / self
 
     # -- exact sign and order ------------------------------------------
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d): -1, 0 or +1."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with d b^2, won by the larger square
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:
-            return 0
-        bigger_is_rational = lhs > rhs
-        return (1 if a > 0 else -1) if bigger_is_rational else (1 if b > 0 else -1)
+        return _sign(self.A, self.B, self.d)
 
     def _cmp(self, other) -> int:
-        return (self - self._coerce(other)).sign()
+        a2, b2, c2, d = self._parts(other)
+        c1 = self.C
+        if c1 == c2:
+            return _sign(self.A - a2, self.B - b2, d)
+        return _sign(self.A * c2 - a2 * c1, self.B * c2 - b2 * c1, d)
 
     def __eq__(self, other):
+        if isinstance(other, QuadraticReal):
+            if self.B != 0 and other.B != 0 and self.d != other.d:
+                return NotImplemented
+            # the integer form is unique
+            return self.A == other.A and self.B == other.B and self.C == other.C
         try:
             return self._cmp(other) == 0
         except (TypeError, ValueError):
@@ -161,12 +196,12 @@ class QuadraticReal:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
+        if self.B == 0:
+            return hash(self.A) if self.C == 1 else hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.sign() != 0
+        return self.A != 0 or self.B != 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -174,22 +209,20 @@ class QuadraticReal:
     # -- floor / frac ----------------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor, via isqrt on the integer form (A + B*sqrt(d))/C."""
-        if self.b == 0:
-            return math.floor(self.a)
-        c = math.lcm(self.a.denominator, self.b.denominator)
-        big_a = self.a.numerator * (c // self.a.denominator)
-        big_b = self.b.numerator * (c // self.b.denominator)
-        return floor_surd(big_a, big_b, self.d, c)
+        """Exact floor: A // C, or one isqrt through `floor_surd`."""
+        if self.B == 0:
+            return self.A // self.C
+        return floor_surd(self.A, self.B, self.d, self.C)
 
     def frac(self) -> "QuadraticReal":
         return self - self.floor()
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        # A / C and B / C are correctly rounded, as float(Fraction) is
+        return self.A / self.C + (self.B / self.C) * math.sqrt(self.d)
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if self.B == 0:
             return f"QR({self.a})"
         return f"QR({self.a} + {self.b}*sqrt({self.d}))"
 
@@ -203,6 +236,27 @@ class QuadraticReal:
         if isinstance(obj, (int, str)):
             return cls(Fraction(obj))
         return cls(Fraction(obj["a"]), Fraction(obj.get("b", 0)), int(obj.get("d", 2)))
+
+
+_set_A = QuadraticReal.A.__set__
+_set_B = QuadraticReal.B.__set__
+_set_C = QuadraticReal.C.__set__
+_set_d = QuadraticReal.d.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, c: int, d: int) -> QuadraticReal:
+    """(a + b*sqrt(d))/c for integers with c > 0 and a checked radicand d,
+    reduced to lowest terms."""
+    g = math.gcd(a, b, c)
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    x = _new(QuadraticReal)
+    _set_A(x, a)
+    _set_B(x, b)
+    _set_C(x, c)
+    _set_d(x, d)
+    return x
 
 
 def qr(a, b=0, d: int = 2) -> QuadraticReal:
@@ -227,8 +281,8 @@ def rationally_independent(p, q) -> bool:
     coefficient vectors are not proportional over Q, i.e. a1*b2 != a2*b1.
     """
     p, q = as_qr(p), as_qr(q)
-    if p.b != 0 and q.b != 0 and p.d != q.d:
+    if p.B != 0 and q.B != 0 and p.d != q.d:
         raise ValueError("rational independence test needs a common field")
     if p.sign() == 0 or q.sign() == 0:
         return False
-    return p.a * q.b != q.a * p.b
+    return p.A * q.B != q.A * p.B

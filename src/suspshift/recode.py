@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from suspshift.markers import MarkerSet
+from suspshift.markers import MarkerSet, occurrence_starts
 from suspshift.quadratic import QuadraticReal, as_qr, rationally_independent
 from suspshift.subshifts import (
     Cylinder,
@@ -384,19 +384,6 @@ class AtomAutomaton:
     def subshift(self, window: int, label: str) -> GeneratedSubshift:
         return GeneratedSubshift(self.alphabet_size, self.language_source, window, label)
 
-    def sample_chain(self, rng: random.Random, min_symbols: int):
-        """Seeded forward atom chain emitting at least min_symbols symbols.
-
-        Returns (atom index list, symbol tuple)."""
-        ai = rng.randrange(len(self.atoms))
-        chain = [ai]
-        syms = list(self.atoms[ai].emission)
-        while len(syms) < min_symbols:
-            ai = rng.choice(self.successors[ai])
-            chain.append(ai)
-            syms.extend(self.atoms[ai].emission)
-        return chain, tuple(syms)
-
     def longest_stretch_avoiding(self, pattern: Word) -> int | None:
         """Exact longest run of emitted symbols containing no occurrence of
         `pattern`, via the product with the pattern's KMP automaton.
@@ -473,7 +460,12 @@ def _kmp_failure(pattern: Word):
 class ChainPoint(PointOracle):
     """Bi-infinite recoded point built lazily from a seeded atom chain.
 
-    Coordinate 0 sits at the start of the seed atom's emission.
+    Coordinate 0 sits at the start of the seed atom's emission.  `symbols`
+    holds the Z-symbols of the materialized chain from coordinate `offset`
+    on, and `roofs` holds, in step with it, each symbol's exact return time
+    (its atom's `durations`), so a roof read is one index.  `cover(lo, hi)`
+    draws atoms from the shared rng, on the left first and then on the
+    right, until [lo, hi) is materialized.
     """
 
     def __init__(self, automaton: AtomAutomaton, rng: random.Random,
@@ -482,41 +474,37 @@ class ChainPoint(PointOracle):
         self.rng = rng
         a0 = seed_atom if seed_atom is not None else rng.randrange(len(automaton.atoms))
         self.chain = [a0]            # atom indices, chain[0] starts at coordinate 0
-        self.chain_start = 0         # index into self.chain of the atom at coord base
         self.symbols = list(automaton.atoms[a0].emission)
+        self.roofs = list(automaton.atoms[a0].durations)
         self.offset = 0              # coordinate of symbols[0]
 
     def _extend_right(self):
         last = self.chain[-1]
         nxt = self.rng.choice(self.aut.successors[last])
         self.chain.append(nxt)
-        self.symbols.extend(self.aut.atoms[nxt].emission)
+        atom = self.aut.atoms[nxt]
+        self.symbols.extend(atom.emission)
+        self.roofs.extend(atom.durations)
 
     def _extend_left(self):
         first = self.chain[0]
         prev = self.rng.choice(self.aut.predecessors[first])
         self.chain.insert(0, prev)
-        em = self.aut.atoms[prev].emission
-        self.symbols[0:0] = em
-        self.offset -= len(em)
+        atom = self.aut.atoms[prev]
+        self.symbols[0:0] = atom.emission
+        self.roofs[0:0] = atom.durations
+        self.offset -= len(atom.emission)
+
+    def cover(self, lo: int, hi: int):
+        """Materialize coordinates [lo, hi)."""
+        while lo < self.offset:
+            self._extend_left()
+        while hi > self.offset + len(self.symbols):
+            self._extend_right()
 
     def block(self, i, j):
-        while i < self.offset:
-            self._extend_left()
-        while j > self.offset + len(self.symbols):
-            self._extend_right()
+        self.cover(i, j)
         return tuple(self.symbols[i - self.offset : j - self.offset])
-
-    def atom_boundaries(self, lo: int, hi: int):
-        """(coordinate, atom index) pairs for atom starts in [lo, hi)."""
-        self.block(lo, hi)  # ensure coverage
-        out = []
-        pos = self.offset
-        for ai in self.chain:
-            if lo <= pos < hi:
-                out.append((pos, ai))
-            pos += len(self.aut.atoms[ai].emission)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +587,7 @@ class RecodedFlow:
 
     def marker_starts(self, oracle: PointOracle, lo: int, hi: int):
         text = word_str(oracle.block(lo, hi))
-        pattern = word_str(self.marker.word)
-        out = []
-        i = text.find(pattern)
-        while i != -1:
-            out.append(lo + i)
-            i = text.find(pattern, i + 1)
-        return out
+        return [lo + i for i in occurrence_starts(text, word_str(self.marker.word))]
 
     def atom_at(self, oracle: PointOracle, start: int) -> MarkerAtom:
         m = self.flow.roof.m
@@ -637,15 +619,9 @@ class RecodedFlow:
     def return_census_positions(self, chain_point: ChainPoint, lo: int, hi: int):
         """(Z-coordinate, symbol, exact return time) for each section piece
         of a sampled recoded point with coordinate in [lo, hi)."""
-        max_em = max(len(a.emission) for a in self.atoms)
-        out = []
-        for start, ai in chain_point.atom_boundaries(lo - max_em, hi):
-            atom = self.atoms[ai]
-            for j, (sym, d) in enumerate(zip(atom.emission, atom.durations)):
-                pos = start + j
-                if lo <= pos < hi:
-                    out.append((pos, sym, d))
-        return out
+        chain_point.cover(lo - max(len(a.emission) for a in self.atoms), hi)
+        off, syms, roofs = chain_point.offset, chain_point.symbols, chain_point.roofs
+        return [(pos, syms[pos - off], roofs[pos - off]) for pos in range(lo, hi)]
 
     # -- encode / decode ---------------------------------------------------
 
@@ -754,13 +730,7 @@ class RecodedFlow:
                 for a, b in zip(marks, marks[1:])
             ]
         pat = self.constants["pattern"]
-        text = word_str(window)
-        pat_s = word_str(pat)
-        occ = []
-        i = text.find(pat_s)
-        while i != -1:
-            occ.append(i)
-            i = text.find(pat_s, i + 1)
+        occ = occurrence_starts(word_str(window), word_str(pat))
         atom_starts = [o + len(pat) - 1 for o in occ]
         return [
             (a, tuple(window[a:b])) for a, b in zip(atom_starts, atom_starts[1:])
@@ -871,6 +841,15 @@ def _check_flow_entropy(flow: SuspensionFlow, p, q):
         )
 
 
+def _recode_start(flow: SuspensionFlow, marker: MarkerSet, p, q, n: int | None):
+    """Entropy guard, then the coding window n (default: past the largest
+    marker gap), its atoms and the sorted base language(n)."""
+    _check_flow_entropy(flow, p, q)
+    if n is None:
+        n = marker.spectrum.max_gap + len(marker.word)
+    return n, build_atoms(flow, marker, n), sorted(flow.base.language(n))
+
+
 # ---------------------------------------------------------------------------
 # the two-valued recoding (return times exactly p, exactly q, or in (0, delta))
 
@@ -885,11 +864,7 @@ def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, p, q, epsilon, de
         raise PreconditionFailed("epsilon must be positive")
     if not (as_qr(0) < delta < min(p, q)):
         raise PreconditionFailed("need 0 < delta < min(p, q)")
-    _check_flow_entropy(flow, p, q)
-    if n is None:
-        n = marker.spectrum.max_gap + len(marker.word)
-    atoms = build_atoms(flow, marker, n)
-    n_words = sorted(flow.base.language(n))
+    n, atoms, n_words = _recode_start(flow, marker, p, q, n)
     lang_count = len(n_words)
 
     relaxed_any = False
@@ -924,24 +899,14 @@ def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, p, q, epsilon, de
         if not (as_qr(0) < atom.remainder < delta):
             raise InfeasibleSchedule("remainder escaped (0, delta)")
 
-    succ = atom_transitions(flow, atoms)
-    automaton = AtomAutomaton(atoms, succ, alphabet_size=3)
-    rf = RecodedFlow(
-        kind="two-valued",
-        flow=flow,
-        marker=marker,
-        n=n,
-        constants={
-            "p": p, "q": q, "delta": delta, "epsilon": eps, "n": n,
-        },
-        atoms=atoms,
-        automaton=automaton,
+    automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), alphabet_size=3)
+    return RecodedFlow(
+        kind="two-valued", flow=flow, marker=marker, n=n,
+        constants={"p": p, "q": q, "delta": delta, "epsilon": eps, "n": n},
+        atoms=atoms, automaton=automaton,
         Z=automaton.subshift(z_window, "two-valued"),
-        n_words=n_words,
-        codes=codes,
-        ratio_relaxed=relaxed_any,
-    )
-    return rf.finish()
+        n_words=n_words, codes=codes, ratio_relaxed=relaxed_any,
+    ).finish()
 
 
 def _choose_two_valued_pair(t_return, p, q, delta, eps):
@@ -988,11 +953,7 @@ def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, p, q, M: int, 
         raise PreconditionFailed("need M >= 2")
     if delta.sign() <= 0:
         raise PreconditionFailed("need delta > 0")
-    _check_flow_entropy(flow, p, q)
-    if n is None:
-        n = marker.spectrum.max_gap + len(marker.word)
-    atoms = build_atoms(flow, marker, n)
-    n_words = sorted(flow.base.language(n))
+    n, atoms, n_words = _recode_start(flow, marker, p, q, n)
     lang_count = len(n_words)
 
     k_candidates = [K] if K is not None else list(range(2, k_max + 1))
@@ -1036,45 +997,41 @@ def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, p, q, M: int, 
         if not (q < last < q + delta):
             raise InfeasibleSchedule("marker return escaped (q, q+delta)")
 
-    succ = atom_transitions(flow, atoms)
-    automaton = AtomAutomaton(atoms, succ, alphabet_size=2)
-    rf = RecodedFlow(
-        kind="marked-binary",
-        flow=flow,
-        marker=marker,
-        n=n,
-        constants={
-            "p": p, "q": q, "delta": delta, "M": M, "K": kk, "n": n,
-            "pattern": pattern,
-        },
-        atoms=atoms,
-        automaton=automaton,
+    automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), alphabet_size=2)
+    return RecodedFlow(
+        kind="marked-binary", flow=flow, marker=marker, n=n,
+        constants={"p": p, "q": q, "delta": delta, "M": M, "K": kk, "n": n,
+                   "pattern": pattern},
+        atoms=atoms, automaton=automaton,
         Z=automaton.subshift(z_window, "marked-binary"),
-        n_words=n_words,
-        codes=codes,
-    )
-    return rf.finish()
+        n_words=n_words, codes=codes,
+    ).finish()
+
+
+def marked_pair(t_return, p, q, delta, M, K, lang_count):
+    """The marked-binary (k, l, remainder) for one return time at this K,
+    or None: the first candidate pair whose code word has room for the
+    markings and at least lang_count words."""
+    for k, l, rem in sorted(candidate_pairs(t_return, p, q, delta),
+                            key=lambda t: (t[2], t[1], t[0])):
+        if k < 3 or l < M + 2 * K:
+            continue
+        zeros = l - M - 2 * K
+        ones = k - 1
+        if zeros > (ones - 1) * (K - 1):
+            continue  # interior runs cannot absorb the zeros
+        code = BalancedCode(ones + zeros, ones, first_last_one=True,
+                            max_interior_zero_run=K - 1)
+        if code.count() >= lang_count:
+            return k, l, rem
+    return None
 
 
 def _plan_marked(atoms, p, q, delta, M, K, lang_count):
     """Per-atom (k, l, remainder) for the marked-binary layout at this K, or None."""
     plan = {}
     for atom in atoms:
-        got = None
-        for k, l, rem in sorted(candidate_pairs(atom.t_return, p, q, delta),
-                                key=lambda t: (t[2], t[1], t[0])):
-            if k < 3 or l < M + 2 * K:
-                continue
-            zeros = l - M - 2 * K
-            ones = k - 1
-            if zeros > (ones - 1) * (K - 1):
-                continue  # interior runs cannot absorb the zeros
-            code = BalancedCode(ones + zeros, ones, first_last_one=True,
-                                max_interior_zero_run=K - 1)
-            if code.count() < lang_count:
-                continue
-            got = (k, l, rem)
-            break
+        got = marked_pair(atom.t_return, p, q, delta, M, K, lang_count)
         if got is None:
             return None
         plan[atom.index] = got
@@ -1185,12 +1142,7 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
     text = word_str(sample)
 
     def screen(word):
-        pattern = word_str(word)
-        starts = []
-        i = text.find(pattern)
-        while i != -1:
-            starts.append(i)
-            i = text.find(pattern, i + 1)
+        starts = occurrence_starts(text, word_str(word))
         if len(starts) < 3:
             return None
         gaps = sorted({b - a for a, b in zip(starts, starts[1:])})
@@ -1232,17 +1184,13 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
 
 def _gap_return_time(roof, sample, text, pattern, gap):
     """Exact roof sum over one gap-g occurrence window found in the sample."""
-    i = text.find(pattern)
-    while i != -1:
-        j = text.find(pattern, i + 1)
-        if j == -1:
-            break
+    starts = occurrence_starts(text, pattern)
+    for i, j in zip(starts, starts[1:]):
         if j - i == gap:
             t = as_qr(0)
             for c in range(i, j):
                 t = t + roof.table[(sample[c],)]
             return t
-        i = j
     raise PreconditionFailed(f"gap {gap} not located in the sample")
 
 

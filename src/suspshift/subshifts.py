@@ -14,8 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from suspshift.quadratic import QuadraticReal, as_qr, floor_surd
 
 Word = tuple  # tuple of ints
@@ -301,6 +299,8 @@ class SFT(Subshift):
     def entropy_exact(self) -> float:
         if self.is_empty():
             raise EmptySubshift()
+        import numpy as np  # imported here: no other path needs its ~14 MB
+
         a = np.array(self._adjacency_matrix(), dtype=float)
         eig = np.linalg.eigvals(a)
         lam = max(abs(z) for z in eig)
@@ -394,8 +394,9 @@ class Sturmian(Subshift):
     Symbols are generated as a mechanical word (Lothaire, Algebraic
     Combinatorics on Words, ch. 2): with x = phase + i*alpha, the low symbol
     is floor(x) - floor(x - alpha) and the high symbol floor(x + alpha) -
-    floor(x).  Phase and angle are brought to one integer form
-    (A + B*sqrt(d))/C, so each symbol costs two exact integer floors.
+    floor(x).  Phase and angle are read in their integer forms
+    (A + B*sqrt(d))/C and put over one denominator, so each symbol costs two
+    exact integer floors.
     """
 
     alphabet_size = 2
@@ -415,42 +416,29 @@ class Sturmian(Subshift):
             self._i1 = (as_qr(0, alpha.d), alpha)  # [0, alpha)
         else:
             self._i1 = (one - alpha, one)  # [1-alpha, 1)
-        # alpha = (A + B*sqrt(d))/C over one common denominator C
-        c = math.lcm(alpha.a.denominator, alpha.b.denominator)
-        self._alpha_int = (
-            alpha.a.numerator * (c // alpha.a.denominator),
-            alpha.b.numerator * (c // alpha.b.denominator),
-            c,
-        )
         # the symbol at i is floor(x_{j+1}) - floor(x_j), x_j = phase + j*alpha,
         # with j = i - 1 (low) or j = i (high)
         self._lag = 1 if convention == "low" else 0
 
     def symbol_at(self, phase: QuadraticReal, i: int) -> int:
-        pa, pb = phase.a, phase.b
-        d = self.alpha.d
-        if pb and phase.d != d:
+        alpha = self.alpha
+        d = alpha.d
+        if phase.B and phase.d != d:
             raise ValueError(f"mixed radicands {phase.d} and {d}")
-        a_al, b_al, c_al = self._alpha_int
-        c = math.lcm(c_al, pa.denominator, pb.denominator)
-        scale = c // c_al
-        step_a, step_b = a_al * scale, b_al * scale
+        # x_j = phase + j*alpha over the common denominator c
+        pc, ac = phase.C, alpha.C
+        if pc == ac:
+            pa, pb, step_a, step_b, c = phase.A, phase.B, alpha.A, alpha.B, pc
+        else:
+            pa, pb, c = phase.A * ac, phase.B * ac, pc * ac
+            step_a, step_b = alpha.A * pc, alpha.B * pc
         j = i - self._lag
-        a = pa.numerator * (c // pa.denominator) + j * step_a
-        b = pb.numerator * (c // pb.denominator) + j * step_b
+        a = pa + j * step_a
+        b = pb + j * step_b
         return floor_surd(a + step_a, b + step_b, d, c) - floor_surd(a, b, d, c)
 
     def point(self, phase) -> SturmianPoint:
         return SturmianPoint(self, phase)
-
-    def _breakpoints(self, n: int, anchor: int = 0):
-        pts = set()
-        lo, hi = self._i1
-        for j in range(anchor, anchor + n):
-            sh = j * self.alpha
-            pts.add((lo - sh).frac())
-            pts.add((hi - sh).frac())
-        return sorted(pts)
 
     def _language(self, n: int) -> frozenset:
         """Walk the circle once: each breakpoint flips the symbols whose

@@ -220,9 +220,6 @@ class TowerPartition:
             out.setdefault(label, []).append(piece)
         return out
 
-    def label_of(self, piece_index: int):
-        return self.labels[piece_index]
-
 
 def base_section(flow_sys: SuspensionFlow) -> CrossSection:
     """The canonical section base x {0}."""
@@ -531,15 +528,33 @@ class FiniteWordOracle(PointOracle):
         return self.word[i - self.start : j - self.start]
 
 
+class SFTWalk(PointOracle):
+    """Seeded random walk on an SFT's essential vertex graph over [0, inf),
+    drawn lazily to the right as blocks are read, so a chain of returns
+    can never run off its end."""
+
+    def __init__(self, sft, rng):
+        self.sft, self.rng = sft, rng
+        self.vertex = rng.choice(sft.vertices)
+        self.word = list(self.vertex)
+
+    def block(self, i, j):
+        if i < 0:
+            raise HorizonExceeded("query left of the walk's start")
+        word, edges, choice, v = self.word, self.sft.edges, self.rng.choice, self.vertex
+        while len(word) < j:
+            v = choice(edges[v])
+            word.append(v[-1])
+        self.vertex = v
+        return tuple(word[i:j])
+
+
 def sample_sft_orbit(sft, length: int, rng, start: int = 0) -> FiniteWordOracle:
     """Seeded random walk on the essential vertex graph, as a finite oracle
-    over [start, start+length)."""
-    v = rng.choice(sft.vertices)
-    word = list(v)
-    while len(word) < length + sft.memory:
-        v = rng.choice(sft.edges[v])
-        word.append(v[-1])
-    return FiniteWordOracle(tuple(word[:length]), start)
+    over [start, start+length): the first `length` symbols of an `SFTWalk`
+    drawn `sft.memory` symbols further."""
+    walk = SFTWalk(sft, rng)
+    return FiniteWordOracle(walk.block(0, length + sft.memory)[:length], start)
 
 
 def occupation_fraction_flow(flow_sys, point: FlowPoint, slabs, duration,

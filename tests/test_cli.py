@@ -126,6 +126,19 @@ def test_kac_check(tmp_path):
     assert (out / "return_spectra.csv").exists()
 
 
+def test_kac_check_unreachable_section_emits_error_json(tmp_path, capsys):
+    # two disjoint loops: a walk started on the 1-loop never meets [0], which
+    # must end in an error JSON, not a silent redraw or a traceback
+    cfg = {"system": {"kind": "sft", "alphabet_size": 2, "adjacency": [[1, 0], [0, 1]]},
+           "parameters": {"a_symbols": [0], "returns": 100, "tau_max": 8,
+                          "measure": {"kind": "markov", "P": [["1", "0"], ["0", "1"]],
+                                      "pi": ["1/2", "1/2"]}}}
+    code, out = run_cli(tmp_path, "kac-check", cfg, seed=0)
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"] == "NotHit"
+
+
 def test_induced_check(tmp_path):
     cfg = {"system": FULL2, "parameters": {"a_symbols": [0], "ns": [8, 10]}}
     code, out = run_cli(tmp_path, "induced-check", cfg)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from suspshift.generator import (
     round_trip,
     verify_succession,
 )
-from suspshift.recode import PreconditionFailed
+from suspshift.recode import ChainPoint, PreconditionFailed
 from suspshift.subshifts import word_str
 
 
@@ -170,3 +171,111 @@ class TestDecode:
         r1, _, _ = round_trip(gen_model, pt, 45)
         r2, _, _ = round_trip(gen_model, pt, 50)
         assert r1 in r2
+
+
+# ---------------------------------------------------------------------------
+# the one-pass name against the per-step definition
+
+
+class ReferenceWalk:
+    """The time-p map as first written: 2n single `step_back`s, then 4n
+    single `step`s, each roof found by scanning the atom starts of the
+    chain around the coordinate (+-2 max_emission, which also fixes the
+    order in which the chain draws atoms)."""
+
+    def __init__(self, model):
+        self.model = model
+        self.reach = 2 * model.max_emission
+
+    def roof_at(self, chain, coord):
+        lo, hi = coord - self.reach, coord + self.reach
+        chain.block(lo, hi)
+        pos = chain.offset
+        for ai in chain.chain:
+            atom = self.model.rf.atoms[ai]
+            if lo <= pos <= coord < pos + len(atom.emission):
+                return atom.durations[coord - pos]
+            pos += len(atom.emission)
+        raise AssertionError("coordinate outside the materialized chain")
+
+    def sample_point(self, seed):
+        rng = random.Random(seed)
+        chain = ChainPoint(self.model.rf.automaton, rng)
+        coord = rng.randrange(0, len(self.model.rf.atoms[chain.chain[0]].emission))
+        height = self.roof_at(chain, coord) * Fraction(rng.randrange(0, 1000), 1001)
+        return ZFlowPoint(chain, coord, height)
+
+    def step(self, pt):
+        h, coord = pt.height + self.model.p, pt.coord
+        while True:
+            r = self.roof_at(pt.chain, coord)
+            if h < r:
+                return ZFlowPoint(pt.chain, coord, h)
+            h, coord = h - r, coord + 1
+
+    def step_back(self, pt):
+        h, coord = pt.height - self.model.p, pt.coord
+        while h.sign() < 0:
+            coord -= 1
+            h = h + self.roof_at(pt.chain, coord)
+        return ZFlowPoint(pt.chain, coord, h)
+
+    def letter(self, pt):
+        if pt.chain.block(pt.coord, pt.coord + 1)[0] == 1:
+            return "P"
+        return "Q" if pt.height < self.model.alpha else "A"
+
+    def name_of(self, pt, n):
+        for _ in range(2 * n):
+            pt = self.step_back(pt)
+        letters = [self.letter(pt)]
+        for _ in range(4 * n):
+            pt = self.step(pt)
+            letters.append(self.letter(pt))
+        return "".join(letters)
+
+
+def chain_state(chain):
+    return list(chain.chain), chain.offset, list(chain.symbols)
+
+
+@pytest.mark.parametrize("n", [1, 5, 25, 50])
+def test_name_of_matches_per_step_definition(gen_model, n):
+    ref = ReferenceWalk(gen_model)
+    atoms = gen_model.rf.atoms
+    for seed in range(100):
+        want_pt = ref.sample_point(seed)
+        pt = gen_model.sample_point(seed)
+        assert (pt.coord, pt.height) == (want_pt.coord, want_pt.height)
+        assert chain_state(pt.chain) == chain_state(want_pt.chain)
+        want = ref.name_of(want_pt, n)
+        assert gen_model.name_of(pt, n) == want, f"seed {seed}"
+        assert chain_state(pt.chain) == chain_state(want_pt.chain), f"seed {seed}"
+        assert pt.chain.roofs == [d for ai in pt.chain.chain for d in atoms[ai].durations]
+        # the chain then grows on in the same way, as round_trip reads it
+        assert pt.base_block(-n, n + 1) == want_pt.base_block(-n, n + 1)
+        assert chain_state(pt.chain) == chain_state(want_pt.chain)
+
+
+def test_steps_match_per_step_definition(gen_model):
+    ref = ReferenceWalk(gen_model)
+    for seed in range(20):
+        pt, want = gen_model.sample_point(seed), ref.sample_point(seed)
+        for k in range(30):
+            move, ref_move = ((gen_model.step, ref.step) if k % 3 else
+                              (gen_model.step_back, ref.step_back))
+            pt, want = move(pt), ref_move(want)
+            assert (pt.coord, pt.height) == (want.coord, want.height)
+            assert gen_model.roof_at(pt.chain, pt.coord) == ref.roof_at(want.chain, want.coord)
+            assert gen_model.letter(pt) == ref.letter(want)
+        assert chain_state(pt.chain) == chain_state(want.chain)
+        # a letter read far outside the materialized chain extends it first
+        for jump in (-400, 400):
+            far, far_ref = (ZFlowPoint(p.chain, p.coord + jump, qr(0)) for p in (pt, want))
+            assert gen_model.letter(far) == ref.letter(far_ref)
+            assert chain_state(pt.chain) == chain_state(want.chain)
+
+
+def test_name_of_needs_positive_n(gen_model):
+    with pytest.raises(ValueError):
+        gen_model.name_of(gen_model.sample_point(0), 0)

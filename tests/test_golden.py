@@ -8,8 +8,7 @@ change that moves any hash changed what the lab reports.  To regenerate it
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste the printed table over GOLDEN.  `kac-check` is left out: it
-crashes on its shipped config.
+and paste the printed table over GOLDEN.
 """
 
 import contextlib
@@ -31,6 +30,7 @@ RUNS = {
     "recode-dex": ("configs/two_valued_sturmian.json", 5),
     "recode-dep": ("configs/marked_binary_sturmian.json", 5),
     "generator-roundtrip": ("configs/roundtrip.json", 7),
+    "kac-check": ("configs/kac_fullshift.json", 11),
 }
 
 GOLDEN = {
@@ -43,6 +43,12 @@ GOLDEN = {
     'generator-roundtrip': {
         'roundtrip.csv':
             'ce47e12431c4f5bd9730c68d4600a64e72cf717fb74b476b4fa66cd2835dc5f9',
+    },
+    'kac-check': {
+        'kac.csv':
+            '6c6e227bba20d4ce5868a64ea2a09b7489aac596f6abbc54fd0c6f30ec9d47ef',
+        'return_spectra.csv':
+            'a0309828ea630acc4a318d9b066872439df26aeb9998f1aa0fcd60ef6120acad',
     },
     'marker': {
         'marker.json':

@@ -200,3 +200,16 @@ def test_sturmian_measure_masses():
 def test_measure_json_round_trip(fair):
     clone = measure_from_json(fair.to_json(), subshift=full_shift(2))
     assert clone.mass((0, 1, 1)) == fair.mass((0, 1, 1))
+
+
+def test_cylinders_listed_once_per_config():
+    # length-lexicographic order; the listing is kept on the config and
+    # callers receive copies, so mutating one cannot reach the next d_distance
+    cfg = DMetricConfig(golden_mean_sft(), depth=8)
+    want = [(0,), (1,), (0, 0), (0, 1), (1, 0), (0, 0, 0), (0, 0, 1), (0, 1, 0)]
+    got = cfg.cylinders()
+    assert got == want
+    got.clear()
+    assert cfg.cylinders() == want
+    assert repr(cfg) == repr(DMetricConfig(cfg.subshift, depth=8))
+

@@ -10,6 +10,7 @@ from suspshift.measures import SturmianMeasure, bernoulli, parry_measure
 from suspshift.subshifts import Cylinder, PeriodicPoint, Sturmian, full_shift, golden_mean_sft
 from suspshift.suspension import (
     CrossSection,
+    HorizonExceeded,
     FlowPoint,
     Roof,
     SuspensionFlow,
@@ -26,6 +27,7 @@ from suspshift.suspension import (
     return_time_distribution,
     return_to_section,
     sample_sft_orbit,
+    SFTWalk,
     time_delta_tower_entropy,
     theta_slab_mass,
 )
@@ -144,6 +146,36 @@ class TestSection:
                 count += 1
         mean = float(total) / count
         assert abs(mean - 2.0) < 0.05
+
+    def test_sft_walk_extends_lazily(self):
+        g = golden_mean_sft()
+        for seed in range(5):
+            # reference: the eager walk, drawn sft.memory symbols past the window
+            rng = random.Random(seed)
+            v = rng.choice(g.vertices)
+            ref = list(v)
+            while len(ref) < 300 + g.memory:
+                v = rng.choice(g.edges[v])
+                ref.append(v[-1])
+            fixed_rng = random.Random(seed)
+            fixed = sample_sft_orbit(g, 300, fixed_rng)
+            assert fixed.block(0, 300) == tuple(ref[:300])
+            assert fixed_rng.random() == rng.random()  # the same number of draws
+            walk = SFTWalk(g, random.Random(seed))
+            assert walk.block(0, 10) + walk.block(10, 300) == tuple(ref[:300])
+            long = walk.block(250, 5000)
+            assert len(long) == 4750 and g.admissible(walk.block(0, 5000))
+        with pytest.raises(HorizonExceeded):
+            walk.block(-1, 3)
+
+    def test_kac_returns_outrun_a_fixed_window(self, unit_flow):
+        # 1000 returns need ~2000 symbols plus a few standard deviations:
+        # the lazy walk never runs out, where a 2000-symbol window would
+        sec = CrossSection([(Cylinder((0,), 0), qr(0))])
+        p = make_flow_point(unit_flow, SFTWalk(unit_flow.base, random.Random(11)))
+        for _ in range(1200):
+            _, p, _ = return_to_section(unit_flow, p, sec, max_shifts=2000)
+        assert p.index > 2000
 
     def test_kac_exact_oracle(self):
         mu = bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=full_shift(2))
