@@ -128,7 +128,7 @@ def cmd_entropy(cfg, seed, out_dir, chash):
     system = subshift_from_json(cfg["system"])
     horizon = int(cfg["parameters"].get("horizon", 20))
     rows = []
-    exact = system.entropy_exact() if hasattr(system, "entropy_exact") else None
+    exact = system.entropy_exact()
     if exact is not None:
         rows.append(("perron", repr(exact)))
     count_rate = math.log(len(system.language(horizon))) / horizon
@@ -184,7 +184,7 @@ def cmd_recode_two_valued(cfg, seed, out_dir, chash):
     horizon = int(p.get("horizon", 10000))
     pt = rf.sample_point(seed)
     census = rf.return_census_positions(pt, 0, horizon)[:returns]
-    rows = _class_rows(({1: "p", 0: "q", 2: "remainder"}[sym], t) for _, sym, t in census)
+    rows = _class_rows((rf.return_class(t), t) for _, _, t in census)
     files = [_write_csv(out_dir, "two_valued_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
     window = pt.block(0, horizon)
@@ -218,9 +218,7 @@ def cmd_recode_marked_binary(cfg, seed, out_dir, chash):
     horizon = int(p.get("horizon", 4000))
     pt = rf.sample_point(seed)
     census = rf.return_census_positions(pt, 0, horizon)
-    qq = rf.constants["q"]
-    rows = _class_rows(("p" if sym == 1 else ("remainder" if t > qq else "q"), t)
-                       for _, sym, t in census)
+    rows = _class_rows((rf.return_class(t), t) for _, _, t in census)
     files = [_write_csv(out_dir, "marked_binary_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
     pattern = rf.constants["pattern"]

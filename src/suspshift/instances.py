@@ -8,9 +8,9 @@ from fractions import Fraction
 
 from suspshift.quadratic import qr, sqrt_d
 from suspshift.recode import (
-    _choose_two_valued_pair,
+    MarkedBinaryLayout,
+    TwoValuedLayout,
     find_marker_with_feasible_gaps,
-    marked_pair,
     recode_marked_binary,
     recode_two_valued,
 )
@@ -22,37 +22,17 @@ def sturmian_root2_flow() -> SuspensionFlow:
     return SuspensionFlow(Sturmian(sqrt_d(2) - 1), Roof.constant(sqrt_d(2)))
 
 
-def _validate_pq(p, q, delta):
-    from suspshift.quadratic import rationally_independent
-    from suspshift.recode import PreconditionFailed
-
-    if not rationally_independent(p, q):
-        raise PreconditionFailed("rational independence violated: p/q is rational")
-    if not delta.sign() > 0:
-        raise PreconditionFailed("delta must be positive")
-
-
 def find_two_valued_marker(flow, p, q, epsilon, delta, max_word_len=110, depth=420):
-    eps = Fraction(epsilon)
-    _validate_pq(p, q, delta)
-
-    def ok(gap, t):
-        return _choose_two_valued_pair(t, p, q, delta, eps) is not None
-
-    return find_marker_with_feasible_gaps(flow, ok, max_word_len, depth)
+    layout = TwoValuedLayout(p, q, epsilon, delta)
+    return find_marker_with_feasible_gaps(
+        flow, lambda gap, t: layout.pair(t) is not None, max_word_len, depth)
 
 
 def find_marked_binary_marker(flow, p, q, M, delta, max_word_len=60, depth=420,
                     lang_bound=130, k_range=(2, 7)):
-    _validate_pq(p, q, delta)
-
-    def ok(gap, t):
-        return any(
-            marked_pair(t, p, q, delta, M, K, lang_bound) is not None
-            for K in range(*k_range)
-        )
-
-    return find_marker_with_feasible_gaps(flow, ok, max_word_len, depth)
+    layout = MarkedBinaryLayout(p, q, M, delta, range(*k_range))
+    return find_marker_with_feasible_gaps(
+        flow, lambda gap, t: layout.feasible(t, lang_bound), max_word_len, depth)
 
 
 def build_two_valued_instance(flow=None, p=None, q=None, epsilon=Fraction(1, 10),

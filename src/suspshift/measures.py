@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, as_qr
-from suspshift.subshifts import PointOracle, SFT, Sturmian, Subshift, Word
+from suspshift.subshifts import PointOracle, SFT, Sturmian, Subshift, Word, full_shift
 
 
 class InsufficientData(Exception):
@@ -103,7 +103,7 @@ class MarkovMeasure(Measure):
             raise ValueError("pi is not stationary for P")
         if sum_exact(self.pi) != 1:
             raise ValueError("pi must sum to 1")
-        self.subshift = subshift if subshift is not None else _full_sft(k)
+        self.subshift = subshift if subshift is not None else full_shift(k)
         if isinstance(self.subshift, SFT) and self.subshift.memory == 1:
             for i in range(k):
                 if self.pi[i] == 0:
@@ -163,10 +163,6 @@ def _sign(x) -> int:
     if isinstance(x, QuadraticReal):
         return x.sign()
     return (x > 0) - (x < 0)
-
-
-def _full_sft(k: int) -> SFT:
-    return SFT(k, adjacency=[[1] * k for _ in range(k)])
 
 
 def bernoulli(probs, subshift=None) -> MarkovMeasure:
@@ -254,7 +250,7 @@ class EmpiricalMeasure(Measure):
         self.length = length
         self.max_block = max_block
         self.exact_period = exact_period
-        self.subshift = subshift if subshift is not None else _full_sft(
+        self.subshift = subshift if subshift is not None else full_shift(
             max(oracle.block(start, start + length)) + 1
         )
         seg = oracle.block(start, start + length + max_block - 1)

@@ -1,40 +1,39 @@
 """Cross-section recoding of suspension flows over aperiodic subshifts.
 
-Three constructions, all driven by a certified marker word and exact
-scheduling arithmetic in one quadratic field:
+One routine, `_recode`, builds every construction from a certified marker
+word: the marker atoms with their exact return times, a code word per atom
+ranked in the sorted base language, an exactly checked schedule per atom,
+and the atom automaton.  Each construction's rules (steps, per-atom plan,
+emission, separator, range of the last return) live in one layout class:
 
-* near-constant roof: all return times within 2*eps of a target, steps drawn
-  from the numerical semigroup of two consecutive integers over a common
-  denominator;
-* two-valued roof with remainder: return times exactly p, exactly q, or in
-  (0, delta), the scheduling word of each marker atom carrying a balanced
-  binary code of its base window;
-* marked binary model: return times exactly p or in [q, q+delta], with a
-  fixed low-density marking pattern locating the marker returns inside every
-  sufficiently long window.
-
-Every emitted schedule is checked, not trusted: step sums, remainder ranges
-and code capacities are verified with exact comparisons at build time.
+* `TwoValuedLayout`: return times exactly p, exactly q, or in (0, delta);
+* `MarkedBinaryLayout`: return times exactly p or in (q, q+delta), with a
+  marking pattern locating the marker returns in every long window;
+* `NearConstantLayout`: all return times within 2*eps of a target, stepped
+  through the numerical semigroup of two consecutive integers over N.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from suspshift.markers import MarkerSet, occurrence_starts
+from suspshift.markers import MarkerSet, occurrence_starts, return_spectrum, verify_coverage
 from suspshift.quadratic import QuadraticReal, as_qr, rationally_independent
 from suspshift.subshifts import (
     Cylinder,
     GeneratedSubshift,
     PointOracle,
+    Sturmian,
     Subshift,
     Word,
+    topological_entropy,
     word_str,
 )
-from suspshift.suspension import SuspensionFlow
+from suspshift.suspension import CrossSection, SuspensionFlow, TowerPartition
 
 
 class PreconditionFailed(Exception):
@@ -114,8 +113,7 @@ def candidate_pairs(t_return, p, q, delta):
     l = 1
     while (q * l) <= t:
         budget = t - q * l
-        k_top = (budget / p).floor()
-        k = k_top
+        k = (budget / p).floor()
         while k >= 0:
             rem = budget - p * k
             if rem >= delta:
@@ -252,7 +250,7 @@ class MarkerAtom:
     key: Word            # admissible word over [-m, n+m) with the marker at 0
     n_word: Word         # key restricted to [0, n): the code input
     gap: int             # distance to the next marker occurrence
-    t_return: QuadraticReal  # exact roof sum over [0, gap)
+    col_bounds: list     # exact roof sums over [0, c) for c = 0..gap
     k: int = 0           # scheduled p-steps
     l: int = 0           # scheduled q-steps (counting the remainder slot)
     remainder: QuadraticReal | None = None
@@ -261,6 +259,11 @@ class MarkerAtom:
     offsets: list = field(default_factory=list)   # piece heights above the marker hit
     columns: list = field(default_factory=list)   # base column of each piece
     durations: list = field(default_factory=list) # exact return time of each piece
+
+    @property
+    def t_return(self) -> QuadraticReal:
+        """Exact roof sum over [0, gap): the atom's first-return time."""
+        return self.col_bounds[-1]
 
 
 def build_atoms(flow: SuspensionFlow, marker: MarkerSet, n: int):
@@ -291,16 +294,16 @@ def build_atoms(flow: SuspensionFlow, marker: MarkerSet, n: int):
         gap = pos + 1
         if gap + lw > n:
             raise PreconditionFailed("marker gap escapes the coding window")
-        t = as_qr(0)
+        col_bounds = [as_qr(0)]
         for i in range(gap):
-            t = t + roof.value_of_word(w[i : i + 2 * m + 1])
+            col_bounds.append(col_bounds[-1] + roof.value_of_word(w[i : i + 2 * m + 1]))
         atoms.append(
             MarkerAtom(
                 index=len(atoms),
                 key=w,
                 n_word=w[m : m + n],
                 gap=gap,
-                t_return=t,
+                col_bounds=col_bounds,
             )
         )
     if not atoms:
@@ -311,24 +314,13 @@ def build_atoms(flow: SuspensionFlow, marker: MarkerSet, n: int):
 def atom_transitions(flow: SuspensionFlow, atoms):
     """successors[i] = indices j such that atom j can follow atom i, certified
     by exact admissibility of the merged base word."""
-    base = flow.base
-    m = flow.roof.m
     succ = {a.index: [] for a in atoms}
     for a in atoms:
+        # b's key starts a.gap coordinates after a's and overlaps its tail
+        overlap = len(a.key) - a.gap
         for b in atoms:
-            # b's window starts at base coordinate a.gap
-            lo_b = a.gap - m
-            merged = list(a.key)
-            ok = True
-            for i, c in enumerate(b.key):
-                coord = lo_b + i + m  # index into merged (anchored at -m)
-                if coord < len(merged):
-                    if merged[coord] != c:
-                        ok = False
-                        break
-                else:
-                    merged.append(c)
-            if ok and base.admissible(tuple(merged)):
+            if (a.key[a.gap:] == b.key[:overlap]
+                    and flow.base.admissible(a.key + b.key[overlap:])):
                 succ[a.index].append(b.index)
     for a in atoms:
         if not succ[a.index]:
@@ -364,7 +356,6 @@ class AtomAutomaton:
             if budget == 0:
                 return {()}
             sym = emission[pos]
-            nxt = []
             if pos + 1 < len(emission):
                 nxt = [(ai, pos + 1)]
             else:
@@ -508,32 +499,7 @@ class ChainPoint(PointOracle):
 
 
 # ---------------------------------------------------------------------------
-# schedules and the recoded flow
-
-
-def _schedule_atom(atom: MarkerAtom, roof, m: int, symbol_durations):
-    """Fill offsets/columns/durations from atom.emission; verify the step sum
-    and height bounds exactly."""
-    w = atom.key
-    col_bounds = [as_qr(0)]
-    for c in range(atom.gap):
-        col_bounds.append(col_bounds[-1] + roof.value_of_word(w[c : c + 2 * m + 1]))
-    offsets, columns, durations = [], [], []
-    t = as_qr(0)
-    col = 0
-    for j, sym in enumerate(atom.emission):
-        while col + 1 < len(col_bounds) and col_bounds[col + 1] <= t:
-            col += 1
-        if t < col_bounds[col] or (col + 1 < len(col_bounds) and t >= col_bounds[col + 1]):
-            raise InfeasibleSchedule("offset escaped its column")
-        offsets.append(t)
-        columns.append(col)
-        d = symbol_durations(atom, j, sym)
-        durations.append(d)
-        t = t + d
-    if t != atom.t_return:
-        raise InfeasibleSchedule("schedule does not sum to the return time")
-    atom.offsets, atom.columns, atom.durations = offsets, columns, durations
+# the recoded flow
 
 
 @dataclass
@@ -542,7 +508,7 @@ class RecodedFlow:
     roof classes, the cross-section realizing the conjugacy, and
     finite-window encode/decode maps."""
 
-    kind: str
+    layout: object           # the construction's rules: one of the layouts below
     flow: SuspensionFlow
     marker: MarkerSet
     n: int
@@ -551,37 +517,42 @@ class RecodedFlow:
     automaton: AtomAutomaton
     Z: GeneratedSubshift
     n_words: list            # sorted language(n) of the base; code index space
-    codes: dict              # parameter tuple -> BalancedCode
-    ratio_relaxed: bool = False
+    codes: dict              # BalancedCode arguments -> BalancedCode, in atom order
+
+    def __post_init__(self):
+        self._atom_table = {tuple(a.key): a for a in self.atoms}
+        self._atom_by_emission = {a.emission: a for a in self.atoms}
+
+    @property
+    def kind(self) -> str:
+        return self.layout.kind
+
+    @property
+    def ratio_relaxed(self) -> bool:
+        return self.layout.relaxed
 
     # -- structural data ------------------------------------------------
 
-    def atom_by_key(self, key: Word) -> MarkerAtom:
-        return self._atom_table[tuple(key)]
-
-    def finish(self):
-        self._atom_table = {tuple(a.key): a for a in self.atoms}
-        self._n_word_rank = {w: i for i, w in enumerate(self.n_words)}
-        return self
-
     def section(self):
         """The cross-section as explicit (cylinder, offset) pieces."""
-        return _atoms_section(self.flow, self.atoms, self.n, self.kind)
+        m = self.flow.roof.m
+        pieces = [
+            (Cylinder(a.key, -m - col), t - a.col_bounds[col])
+            for a in self.atoms for t, col in zip(a.offsets, a.columns)
+        ]
+        return CrossSection(pieces, validity_depth=self.n, meta={"kind": self.kind})
+
+    def return_class(self, duration) -> str:
+        """A piece's class from its exact return time: "p", "q" or "remainder"."""
+        if duration == self.layout.p:
+            return "p"
+        return "q" if duration == self.layout.q else "remainder"
 
     def tower_partition(self):
         """The section pieces labeled by their return-time class: the
         generating partition of the recoded system."""
-        from suspshift.suspension import TowerPartition
-
-        q = self.constants["q"]
-        labels = []
-        for a in self.atoms:
-            for sym, d in zip(a.emission, a.durations):
-                if self.kind == "two-valued":
-                    labels.append({1: "p", 0: "q", 2: "remainder"}[sym])
-                else:
-                    labels.append("p" if sym == 1 else ("marker" if d > q else "q"))
-        return TowerPartition(self.section(), tuple(labels))
+        labels = tuple(self.return_class(d) for a in self.atoms for d in a.durations)
+        return TowerPartition(self.section(), labels)
 
     # -- orbit machinery --------------------------------------------------
 
@@ -591,8 +562,7 @@ class RecodedFlow:
 
     def atom_at(self, oracle: PointOracle, start: int) -> MarkerAtom:
         m = self.flow.roof.m
-        key = tuple(oracle.block(start - m, start + self.n + m))
-        return self.atom_by_key(key)
+        return self._atom_table[tuple(oracle.block(start - m, start + self.n + m))]
 
     def return_census(self, oracle: PointOracle, start: int, count: int):
         """Exact (class, time) pairs for `count` consecutive section returns
@@ -629,7 +599,6 @@ class RecodedFlow:
         """Map a flow point of the source suspension to (Z-window of the
         given radius, height above the current piece); exact."""
         oracle, i0, h = flow_point.oracle, flow_point.index, flow_point.height
-        m = self.flow.roof.m
         reach = self.marker.spectrum.max_gap + len(self.marker.word) + 1
         starts = self.marker_starts(oracle, i0 - reach, i0 + 1)
         starts = [s for s in starts if s <= i0]
@@ -719,72 +688,36 @@ class RecodedFlow:
         atoms_needed = 2 + (block_radius + min_gap - 1) // min_gap
         return max_em * (atoms_needed + 1)
 
-    # decoding -----------------------------------------------------------
-
-    def _segment_window(self, window: Word):
-        """Complete atom emissions inside the window, as (start, body) pairs."""
-        if self.kind == "two-valued":
-            marks = [i for i, c in enumerate(window) if c == 2]
-            return [
-                (a + 1, tuple(window[a + 1 : b + 1]))
-                for a, b in zip(marks, marks[1:])
-            ]
-        pat = self.constants["pattern"]
-        occ = occurrence_starts(word_str(window), word_str(pat))
-        atom_starts = [o + len(pat) - 1 for o in occ]
-        return [
-            (a, tuple(window[a:b])) for a, b in zip(atom_starts, atom_starts[1:])
-        ]
-
-    def _decode_body(self, body: Word) -> MarkerAtom:
-        if self.kind == "two-valued":
-            k = sum(1 for c in body if c == 1)
-            w = body[:2 * k]
-            code = self.codes.get((2 * k, k))
-            if code is None:
-                raise ConstraintViolated(f"no code with parameters (2k={2*k})")
-            n_word = self.n_words[code.rank(w)]
-        else:
-            tail = self.constants["M"] + 2 * self.constants["K"] + 1
-            w = body[: len(body) - tail]
-            code = self.codes.get((len(w), sum(w)))
-            if code is None:
-                raise ConstraintViolated("no code with these parameters")
-            n_word = self.n_words[code.rank(w)]
-        atom = self.atom_by_key(n_word)
-        if atom.emission != tuple(body):
-            raise ConstraintViolated("decoded atom does not reproduce its body")
-        return atom
-
     def decode(self, window: Word):
         """Invert a Z-window to the base block it certifies.
 
-        Returns (base_word, center_index): base_word[center_index] is the
-        base symbol under the window's central piece.  Needs a window-0 roof
-        (the atom key is then its n-word).
+        The window is cut at every occurrence of the layout's separator and
+        each complete segment between two cuts is looked up as an atom's
+        emission.  Returns (base_word, center_index): base_word[center_index]
+        is the base symbol under the window's central piece.  Needs a
+        window-0 roof (the atom key is then its n-word).
         """
         if self.flow.roof.m != 0:
             raise PreconditionFailed("finite-window decoding needs a window-0 roof")
+        if self.layout.separator is None:
+            raise PreconditionFailed(f"the {self.kind} layout has no separator")
+        window = tuple(window)
         center = len(window) // 2
-        segments = self._segment_window(window)
-        if not segments:
+        cuts = [o + self.layout.cut for o in
+                occurrence_starts(word_str(window), word_str(self.layout.separator))]
+        if len(cuts) < 2:
             raise PreconditionFailed("no complete atom inside the window")
-        decoded = []
-        for s, body in segments:
-            decoded.append((s, self._decode_body(body)))
-        # adjacency of complete segments
-        for (s1, a1), (s2, _) in zip(decoded, decoded[1:]):
-            if s1 + len(a1.emission) != s2:
-                raise ConstraintViolated("atom segments are not contiguous")
         base = {}
         marker_pos = 0
         center_rel = None
-        for s, atom in decoded:
+        for s, e in zip(cuts, cuts[1:]):
+            atom = self._atom_by_emission.get(window[s:e])
+            if atom is None:
+                raise ConstraintViolated(f"segment {word_str(window[s:e])} is no atom's emission")
             for j, c in enumerate(atom.n_word):
-                if base.get(marker_pos + j, c) != c:
+                if base.setdefault(marker_pos + j, c) != c:
                     raise ConstraintViolated("overlapping atom words disagree")
-                base[marker_pos + j] = c
-            if s <= center < s + len(atom.emission):
+            if s <= center < e:
                 center_rel = marker_pos + atom.columns[center - s]
             marker_pos += atom.gap
         if center_rel is None:
@@ -796,326 +729,319 @@ class RecodedFlow:
         return base_word, center_rel - lo
 
 
-def _roof_prefix(atom: MarkerAtom, roof, m: int, col: int):
-    t = as_qr(0)
-    for c in range(col):
-        t = t + roof.value_of_word(atom.key[c : c + 2 * m + 1])
-    return t
-
-
-def _atoms_section(flow: SuspensionFlow, atoms, validity_depth: int, kind: str):
-    """Scheduled offsets of every atom as explicit (cylinder, height) pieces."""
-    from suspshift.suspension import CrossSection
-
-    m = flow.roof.m
-    pieces = []
-    for a in atoms:
-        for t, col in zip(a.offsets, a.columns):
-            height = t - _roof_prefix(a, flow.roof, m, col)
-            pieces.append((Cylinder(a.key, -m - col), height))
-    return CrossSection(pieces, validity_depth=validity_depth, meta={"kind": kind})
-
-
 # ---------------------------------------------------------------------------
-# entropy guard shared by the recoders
+# the recoding core
 
 
-def _base_entropy_bound(base: Subshift, horizon: int = 48) -> float:
-    from suspshift.subshifts import topological_entropy
+def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None,
+            z_window: int) -> RecodedFlow:
+    """Build the recoded flow of `layout` over the marker atoms at coding
+    window n (default: just past the largest marker gap)."""
+    layout.check_flow(flow)
+    if n is None:
+        n = marker.spectrum.max_gap + len(marker.word)
+    atoms = build_atoms(flow, marker, n)
+    n_words = sorted(flow.base.language(n))
+    layout.plan(atoms, len(n_words))
+    rank = {w: i for i, w in enumerate(n_words)}
+    codes = {}
+    for atom in atoms:
+        args = layout.code_args(atom)
+        if args is not None:
+            if args not in codes:
+                codes[args] = BalancedCode(*args)
+            atom.code_word = codes[args].unrank(rank[atom.n_word])
+        atom.emission = layout.emission(atom)
+        _schedule_atom(atom, layout)
+    automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), layout.alphabet_size)
+    return RecodedFlow(
+        layout=layout, flow=flow, marker=marker, n=n, constants=layout.constants(n),
+        atoms=atoms, automaton=automaton, Z=automaton.subshift(z_window, layout.kind),
+        n_words=n_words, codes=codes,
+    )
 
-    exact = base.entropy_exact() if hasattr(base, "entropy_exact") else None
-    if exact is not None:
-        return exact
-    return topological_entropy(base, horizon=horizon)
 
-
-def _check_flow_entropy(flow: SuspensionFlow, p, q):
-    """h_top of the suspension is at most h_top(base)/min(roof); require that
-    this is below 2 log 2 / (p + q)."""
-    h_base = _base_entropy_bound(flow.base)
-    bound = h_base / float(flow.roof.min_value)
-    limit = 2 * math.log(2) / float(as_qr(p) + as_qr(q))
-    if bound >= limit:
-        raise PreconditionFailed(
-            f"flow entropy bound {bound:.4f} >= 2 log2/(p+q) = {limit:.4f}"
+def _schedule_atom(atom: MarkerAtom, layout):
+    """Offsets, columns and durations of atom.emission.  Every symbol takes
+    its layout step except the last, which takes what is left of the return
+    time and must lie in the layout's open `last_range`; all exact."""
+    steps = [layout.steps[sym] for sym in atom.emission[:-1]]
+    atom.offsets = [as_qr(0)]
+    for d in steps:
+        atom.offsets.append(atom.offsets[-1] + d)
+    atom.columns = [bisect_right(atom.col_bounds, t) - 1 for t in atom.offsets]
+    if atom.columns[-1] >= atom.gap:
+        raise InfeasibleSchedule("offset escaped its atom")
+    atom.durations = steps + [atom.t_return - atom.offsets[-1]]
+    lo, hi = layout.last_range
+    if not lo < atom.durations[-1] < hi:
+        raise InfeasibleSchedule(
+            f"{layout.kind}: last return of atom {atom.index} escaped its range"
         )
 
 
-def _recode_start(flow: SuspensionFlow, marker: MarkerSet, p, q, n: int | None):
-    """Entropy guard, then the coding window n (default: past the largest
-    marker gap), its atoms and the sorted base language(n)."""
-    _check_flow_entropy(flow, p, q)
-    if n is None:
-        n = marker.spectrum.max_gap + len(marker.word)
-    return n, build_atoms(flow, marker, n), sorted(flow.base.language(n))
+# ---------------------------------------------------------------------------
+# the layouts: each construction's steps, plan, emission and separator
+
+
+class _CodedLayout:
+    """Symbol 1 steps p and symbol 0 steps q, with p, q rationally
+    independent; each atom's emission carries a code word of its n-word."""
+
+    relaxed = False
+
+    def __init__(self, p, q):
+        self.p, self.q = as_qr(p), as_qr(q)
+        if not rationally_independent(self.p, self.q):
+            raise PreconditionFailed("rational independence violated: p/q is rational")
+        self.steps = {1: self.p, 0: self.q}
+
+    def check_flow(self, flow: SuspensionFlow):
+        """h_top of the suspension is at most h_top(base)/min(roof); require
+        that this is below 2 log 2 / (p + q)."""
+        bound = topological_entropy(flow.base, horizon=48) / float(flow.roof.min_value)
+        limit = 2 * math.log(2) / float(self.p + self.q)
+        if bound >= limit:
+            raise PreconditionFailed(
+                f"flow entropy bound {bound:.4f} >= 2 log2/(p+q) = {limit:.4f}"
+            )
+
+
+class TwoValuedLayout(_CodedLayout):
+    """Return times exactly p, exactly q, or in (0, delta): a balanced code
+    word with k ones and k zeros, l - k more q-steps, then the remainder
+    symbol 2, which separates consecutive atoms in a Z-window."""
+
+    kind = "two-valued"
+    alphabet_size = 3
+    separator = (2,)
+    cut = 1  # an atom starts right after its predecessor's 2
+
+    def __init__(self, p, q, epsilon, delta):
+        super().__init__(p, q)
+        self.eps, self.delta = Fraction(epsilon), as_qr(delta)
+        if not 0 < self.eps:
+            raise PreconditionFailed("epsilon must be positive")
+        if not as_qr(0) < self.delta < min(self.p, self.q):
+            raise PreconditionFailed("need 0 < delta < min(p, q)")
+        self.last_range = (as_qr(0), self.delta)
+
+    def pair(self, t_return):
+        """Smallest-remainder (k, l, remainder, relaxed) with
+        0 < T - kp - lq < delta, k <= l, and the q-class frequency guard
+        l/(k+l+1) <= 1/2 + eps, or None.
+
+        Pairs meeting the stricter ratio 1/(1+eps) <= k/l are preferred; when
+        only the frequency guard can be met the relaxation is flagged.
+        """
+        eps = self.eps
+        strict, relaxed = [], []
+        for k, l, rem in candidate_pairs(t_return, self.p, self.q, self.delta):
+            if k < 1 or k > l:
+                continue
+            # frequency guard: l (1/2 - eps) <= (k + 1)(1/2 + eps)
+            if Fraction(l) * (Fraction(1, 2) - eps) > (k + 1) * (Fraction(1, 2) + eps):
+                continue
+            if Fraction(l) <= Fraction(k) * (1 + eps):
+                strict.append((rem, l, k))
+            else:
+                relaxed.append((rem, l, k))
+        if not strict and not relaxed:
+            return None
+        rem, l, k = min(strict or relaxed)
+        return k, l, rem, not strict
+
+    def plan(self, atoms, lang_count: int):
+        for atom in atoms:
+            pair = self.pair(atom.t_return)
+            if pair is None:
+                raise PreconditionFailed(
+                    f"no (k,l) with 0 < T - kp - lq < delta for atom gap {atom.gap} "
+                    f"(T = {float(atom.t_return):.6f})"
+                )
+            atom.k, atom.l, atom.remainder, relaxed = pair
+            self.relaxed = self.relaxed or relaxed
+            if math.comb(2 * atom.k, atom.k) < lang_count:
+                raise CapacityExceeded(
+                    f"|language({len(atom.n_word)})| = {lang_count} > "
+                    f"C({2 * atom.k},{atom.k}); raise n"
+                )
+
+    def code_args(self, atom):
+        return (2 * atom.k, atom.k)
+
+    def emission(self, atom):
+        return atom.code_word + (0,) * (atom.l - atom.k) + (2,)
+
+    def constants(self, n: int) -> dict:
+        return {"p": self.p, "q": self.q, "delta": self.delta, "epsilon": self.eps, "n": n}
+
+
+class MarkedBinaryLayout(_CodedLayout):
+    """Return times exactly p or in (q, q+delta): a code word that starts
+    and ends with 1 and has zero runs below K, then 0^(M+K) 1 0^K, whose
+    last q-step absorbs the remainder.  The marking pattern 0^(M+K) 1 0^K 1
+    then occurs exactly across atom boundaries and separates the atoms of a
+    Z-window.  K is the first of `ks` that schedules every atom."""
+
+    kind = "marked-binary"
+    alphabet_size = 2
+
+    def __init__(self, p, q, M: int, delta, ks):
+        super().__init__(p, q)
+        self.M, self.delta, self.ks = M, as_qr(delta), list(ks)
+        if not self.p < self.q:
+            raise PreconditionFailed("need p < q")
+        if M < 2:
+            raise PreconditionFailed("need M >= 2")
+        if self.delta.sign() <= 0:
+            raise PreconditionFailed("need delta > 0")
+        self.last_range = (self.q, self.q + self.delta)
+
+    def pair(self, t_return, K: int, lang_count: int):
+        """The (k, l, remainder) for one return time at this K, or None: the
+        first candidate pair whose code word has room for the markings and
+        at least lang_count words."""
+        for k, l, rem in sorted(candidate_pairs(t_return, self.p, self.q, self.delta),
+                                key=lambda t: (t[2], t[1], t[0])):
+            if k < 3 or l < self.M + 2 * K:
+                continue
+            zeros = l - self.M - 2 * K
+            ones = k - 1
+            if zeros > (ones - 1) * (K - 1):
+                continue  # interior runs cannot absorb the zeros
+            code = BalancedCode(ones + zeros, ones, first_last_one=True,
+                                max_interior_zero_run=K - 1)
+            if code.count() >= lang_count:
+                return k, l, rem
+        return None
+
+    def feasible(self, t_return, lang_count: int) -> bool:
+        return any(self.pair(t_return, K, lang_count) is not None for K in self.ks)
+
+    def plan(self, atoms, lang_count: int):
+        for K in self.ks:
+            pairs = []
+            for atom in atoms:
+                pairs.append(self.pair(atom.t_return, K, lang_count))
+                if pairs[-1] is None:
+                    break
+            else:
+                for atom, (k, l, rem) in zip(atoms, pairs):
+                    atom.k, atom.l, atom.remainder = k, l, rem
+                self.K = K
+                self.separator = (0,) * (self.M + K) + (1,) + (0,) * K + (1,)
+                self.cut = len(self.separator) - 1  # the closing 1 opens the next code word
+                return
+        raise CapacityExceeded(
+            f"no K in {self.ks} schedules all atoms; raise n or adjust (p,q,delta)"
+        )
+
+    def code_args(self, atom):
+        ones = atom.k - 1
+        return (ones + atom.l - self.M - 2 * self.K, ones, True, self.K - 1)
+
+    def emission(self, atom):
+        return atom.code_word + self.separator[:-1]
+
+    def constants(self, n: int) -> dict:
+        return {"p": self.p, "q": self.q, "delta": self.delta, "M": self.M,
+                "K": self.K, "n": n, "pattern": self.separator}
+
+
+class NearConstantLayout:
+    """All return times within 2*eps of the target a - eps, where
+    a = log 2 / h_top + eps (or the supplied target plus eps): k steps
+    p = [Na]/N, then l steps q = ([Na]+1)/N over the denominator N > 3/eps.
+    Both steps lie within 4*eps/3 of the target, so only each atom's last
+    return needs its range checked.  There is no code word and no
+    separator: the itinerary system is the output, and the final symbol
+    embedding is out of scope."""
+
+    kind = "near-constant"
+    alphabet_size = 2
+    separator = None
+    relaxed = False
+
+    def __init__(self, epsilon, h_top, target_a):
+        eps = Fraction(epsilon)
+        if eps <= 0:
+            raise PreconditionFailed("epsilon must be positive")
+        if (h_top is None) == (target_a is None):
+            raise PreconditionFailed("give exactly one of h_top, target_a")
+        if h_top is not None:
+            if h_top <= 0:
+                raise PreconditionFailed(
+                    "h_top must be positive; zero-entropy callers supply target_a"
+                )
+            a = Fraction(math.log(2) / h_top).limit_denominator(10**6) + eps
+        else:
+            a = Fraction(target_a) + eps
+        self.eps, self.big_n = eps, int(3 / eps) + 1
+        self.m_int = int(self.big_n * a)  # [N a]
+        if self.m_int < 2:
+            raise PreconditionFailed("target too small for the step grid")
+        self.p, self.q = Fraction(self.m_int, self.big_n), Fraction(self.m_int + 1, self.big_n)
+        self.steps = {0: self.p, 1: self.q}
+        self.target = a - eps
+        self.last_range = (self.target - 2 * eps, self.target + 2 * eps)
+
+    def check_flow(self, flow: SuspensionFlow):
+        pass  # no entropy condition: the target already comes from h_top
+
+    def plan(self, atoms, lang_count: int):
+        threshold = self.m_int * (self.m_int - 1)  # Frobenius bound for {m, m+1}
+        for atom in atoms:
+            r_int = (atom.t_return * self.big_n + Fraction(1, 2)).floor()
+            if r_int <= threshold:
+                raise InfeasibleSchedule(
+                    f"marker return {float(atom.t_return):.3f} below the "
+                    f"semigroup threshold {threshold}/{self.big_n}"
+                )
+            # above the threshold s >= rem, so k = s - rem >= 0
+            s, rem = divmod(r_int, self.m_int)
+            atom.k, atom.l = s - rem, rem
+            last_step = self.q if atom.l else self.p
+            atom.remainder = atom.t_return - (self.p * atom.k + self.q * atom.l) + last_step
+
+    def code_args(self, atom):
+        return None
+
+    def emission(self, atom):
+        return (0,) * atom.k + (1,) * atom.l
+
+    def constants(self, n: int) -> dict:
+        return {"target": self.target, "epsilon": self.eps, "grid_n": self.big_n,
+                "step_p": self.p, "step_q": self.q, "n": n}
 
 
 # ---------------------------------------------------------------------------
-# the two-valued recoding (return times exactly p, exactly q, or in (0, delta))
+# the three constructions
 
 
 def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, p, q, epsilon, delta,
                n: int | None = None, z_window: int = 64) -> RecodedFlow:
-    p, q, delta = as_qr(p), as_qr(q), as_qr(delta)
-    eps = Fraction(epsilon)
-    if not rationally_independent(p, q):
-        raise PreconditionFailed("rational independence violated: p/q is rational")
-    if not (0 < eps):
-        raise PreconditionFailed("epsilon must be positive")
-    if not (as_qr(0) < delta < min(p, q)):
-        raise PreconditionFailed("need 0 < delta < min(p, q)")
-    n, atoms, n_words = _recode_start(flow, marker, p, q, n)
-    lang_count = len(n_words)
-
-    relaxed_any = False
-    for atom in atoms:
-        pair = _choose_two_valued_pair(atom.t_return, p, q, delta, eps)
-        if pair is None:
-            raise PreconditionFailed(
-                f"no (k,l) with 0 < T - kp - lq < delta for atom gap {atom.gap} "
-                f"(T = {float(atom.t_return):.6f})"
-            )
-        atom.k, atom.l, atom.remainder, relaxed = pair
-        relaxed_any = relaxed_any or relaxed
-        if math.comb(2 * atom.k, atom.k) < lang_count:
-            raise CapacityExceeded(
-                f"|language({n})| = {lang_count} > C({2*atom.k},{atom.k}); raise n"
-            )
-
-    codes = {}
-    for atom in atoms:
-        params = (2 * atom.k, atom.k)
-        if params not in codes:
-            codes[params] = BalancedCode(2 * atom.k, atom.k)
-        code = codes[params]
-        w = code.unrank(n_words.index(atom.n_word))
-        atom.code_word = w
-        atom.emission = w + (0,) * (atom.l - atom.k) + (2,)
-
-        def durations(a, j, sym, _p=p, _q=q):
-            return _p if sym == 1 else (_q if sym == 0 else a.remainder)
-
-        _schedule_atom(atom, flow.roof, flow.roof.m, durations)
-        if not (as_qr(0) < atom.remainder < delta):
-            raise InfeasibleSchedule("remainder escaped (0, delta)")
-
-    automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), alphabet_size=3)
-    return RecodedFlow(
-        kind="two-valued", flow=flow, marker=marker, n=n,
-        constants={"p": p, "q": q, "delta": delta, "epsilon": eps, "n": n},
-        atoms=atoms, automaton=automaton,
-        Z=automaton.subshift(z_window, "two-valued"),
-        n_words=n_words, codes=codes, ratio_relaxed=relaxed_any,
-    ).finish()
-
-
-def _choose_two_valued_pair(t_return, p, q, delta, eps):
-    """Smallest-remainder (k, l) with 0 < T - kp - lq < delta, k <= l, and the
-    q-class frequency guard l/(k+l+1) <= 1/2 + eps.
-
-    Pairs meeting the stricter ratio 1/(1+eps) <= k/l are preferred; when
-    only the frequency guard can be met the relaxation is flagged.
-    """
-    pairs = candidate_pairs(t_return, p, q, delta)
-    strict, relaxed = [], []
-    for k, l, rem in pairs:
-        if k < 1 or k > l:
-            continue
-        # frequency guard: l (1/2 - eps) <= (k + 1)(1/2 + eps)
-        if Fraction(l) * (Fraction(1, 2) - eps) > (k + 1) * (Fraction(1, 2) + eps):
-            continue
-        if Fraction(l) <= Fraction(k) * (1 + eps):
-            strict.append((rem, l, k))
-        else:
-            relaxed.append((rem, l, k))
-    if strict:
-        rem, l, k = min(strict)
-        return k, l, rem, False
-    if relaxed:
-        rem, l, k = min(relaxed)
-        return k, l, rem, True
-    return None
-
-
-# ---------------------------------------------------------------------------
-# the marked binary recoding (return times exactly p or in [q, q + delta])
+    """Return times exactly p, exactly q, or in (0, delta)."""
+    return _recode(flow, marker, TwoValuedLayout(p, q, epsilon, delta), n, z_window)
 
 
 def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, p, q, M: int, delta,
                n: int | None = None, K: int | None = None, k_max: int = 8,
                z_window: int = 64) -> RecodedFlow:
-    p, q, delta = as_qr(p), as_qr(q), as_qr(delta)
-    if not rationally_independent(p, q):
-        raise PreconditionFailed("rational independence violated: p/q is rational")
-    if not p < q:
-        raise PreconditionFailed("need p < q")
-    if M < 2:
-        raise PreconditionFailed("need M >= 2")
-    if delta.sign() <= 0:
-        raise PreconditionFailed("need delta > 0")
-    n, atoms, n_words = _recode_start(flow, marker, p, q, n)
-    lang_count = len(n_words)
-
-    k_candidates = [K] if K is not None else list(range(2, k_max + 1))
-    chosen = None
-    for kk in k_candidates:
-        plan = _plan_marked(atoms, p, q, delta, M, kk, lang_count)
-        if plan is not None:
-            chosen = (kk, plan)
-            break
-    if chosen is None:
-        raise CapacityExceeded(
-            f"no K in {k_candidates} schedules all atoms; raise n or adjust (p,q,delta)"
-        )
-    kk, plan = chosen
-    pattern = (0,) * (M + kk) + (1,) + (0,) * kk + (1,)
-
-    codes = {}
-    for atom in atoms:
-        k, l, rem = plan[atom.index]
-        atom.k, atom.l, atom.remainder = k, l, rem
-        ones = k - 1
-        length = (k - 1) + (l - M - 2 * kk)
-        params = (length, ones)
-        if params not in codes:
-            codes[params] = BalancedCode(
-                length, ones, first_last_one=True, max_interior_zero_run=kk - 1
-            )
-        w = codes[params].unrank(n_words.index(atom.n_word))
-        atom.code_word = w
-        atom.emission = w + (0,) * (M + kk) + (1,) + (0,) * kk
-
-        def durations(a, j, sym, _p=p, _q=q):
-            if sym == 1:
-                return _p
-            if j == len(a.emission) - 1:
-                return a.remainder + _q  # the marker return, in (q, q+delta)
-            return _q
-
-        _schedule_atom(atom, flow.roof, flow.roof.m, durations)
-        last = atom.durations[-1]
-        if not (q < last < q + delta):
-            raise InfeasibleSchedule("marker return escaped (q, q+delta)")
-
-    automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), alphabet_size=2)
-    return RecodedFlow(
-        kind="marked-binary", flow=flow, marker=marker, n=n,
-        constants={"p": p, "q": q, "delta": delta, "M": M, "K": kk, "n": n,
-                   "pattern": pattern},
-        atoms=atoms, automaton=automaton,
-        Z=automaton.subshift(z_window, "marked-binary"),
-        n_words=n_words, codes=codes,
-    ).finish()
-
-
-def marked_pair(t_return, p, q, delta, M, K, lang_count):
-    """The marked-binary (k, l, remainder) for one return time at this K,
-    or None: the first candidate pair whose code word has room for the
-    markings and at least lang_count words."""
-    for k, l, rem in sorted(candidate_pairs(t_return, p, q, delta),
-                            key=lambda t: (t[2], t[1], t[0])):
-        if k < 3 or l < M + 2 * K:
-            continue
-        zeros = l - M - 2 * K
-        ones = k - 1
-        if zeros > (ones - 1) * (K - 1):
-            continue  # interior runs cannot absorb the zeros
-        code = BalancedCode(ones + zeros, ones, first_last_one=True,
-                            max_interior_zero_run=K - 1)
-        if code.count() >= lang_count:
-            return k, l, rem
-    return None
-
-
-def _plan_marked(atoms, p, q, delta, M, K, lang_count):
-    """Per-atom (k, l, remainder) for the marked-binary layout at this K, or None."""
-    plan = {}
-    for atom in atoms:
-        got = marked_pair(atom.t_return, p, q, delta, M, K, lang_count)
-        if got is None:
-            return None
-        plan[atom.index] = got
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# the near-constant-roof recoding
+    """Return times exactly p or in (q, q + delta), at the given K or the
+    first K in 2..k_max that schedules every atom."""
+    ks = [K] if K is not None else range(2, k_max + 1)
+    return _recode(flow, marker, MarkedBinaryLayout(p, q, M, delta, ks), n, z_window)
 
 
 def recode_near_constant(flow: SuspensionFlow, marker: MarkerSet, epsilon,
                h_top: float | None = None, target_a=None, n: int | None = None,
-               z_window: int = 40):
+               z_window: int = 40) -> RecodedFlow:
     """Cross-section with all return times within 2*epsilon of the target
     a = log 2 / h_top + epsilon (or the supplied target for zero-entropy
     bases), stepped through the numerical semigroup of [Na], [Na]+1 over the
-    denominator N > 3/epsilon.  The final symbol embedding is out of scope;
-    the itinerary system is returned with an entropy certificate.
-    """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise PreconditionFailed("epsilon must be positive")
-    if (h_top is None) == (target_a is None):
-        raise PreconditionFailed("give exactly one of h_top, target_a")
-    if h_top is not None:
-        if h_top <= 0:
-            raise PreconditionFailed(
-                "h_top must be positive; zero-entropy callers supply target_a"
-            )
-        a = Fraction(math.log(2) / h_top).limit_denominator(10**6) + eps
-    else:
-        a = Fraction(target_a) if not isinstance(target_a, Fraction) else target_a
-        a = a + eps
-    big_n = int(3 / eps) + 1
-    m_int = int(big_n * a)  # [N a]
-    if m_int < 2:
-        raise PreconditionFailed("target too small for the step grid")
-    step_a = Fraction(m_int, big_n)
-    step_b = Fraction(m_int + 1, big_n)
-
-    if n is None:
-        n = marker.spectrum.max_gap + len(marker.word)
-    atoms = build_atoms(flow, marker, n)
-    threshold = m_int * (m_int - 1)  # Frobenius bound for {m, m+1}
-    for atom in atoms:
-        scaled = atom.t_return * big_n
-        r_int = (scaled + Fraction(1, 2)).floor()
-        if r_int <= threshold:
-            raise InfeasibleSchedule(
-                f"marker return {float(atom.t_return):.3f} below the "
-                f"semigroup threshold {threshold}/{big_n}"
-            )
-        s, rem = divmod(r_int, m_int)
-        k, l = s - rem, rem
-        if k < 0:
-            raise InfeasibleSchedule("no representation k[Na] + l([Na]+1)")
-        atom.k, atom.l = k, l
-        atom.emission = (0,) * k + (1,) * l if l else (0,) * k
-        atom.remainder = atom.t_return - (step_a * k + step_b * (l - 1) if l else
-                                          step_a * (k - 1))
-
-        def durations(at, j, sym, _a=step_a, _b=step_b):
-            if j == len(at.emission) - 1:
-                return at.remainder
-            return _a if sym == 0 else _b
-
-        _schedule_atom(atom, flow.roof, flow.roof.m, durations)
-        # every return time within 2 eps of the target
-        for d in atom.durations:
-            if abs(float(d) - float(a - eps)) >= 2 * float(eps):
-                raise InfeasibleSchedule("a return time strayed beyond 2*epsilon")
-
-    succ = atom_transitions(flow, atoms)
-    automaton = AtomAutomaton(atoms, succ, alphabet_size=2)
-    itinerary = automaton.subshift(z_window, "itinerary")
-    section = _atoms_section(flow, atoms, n, "near-constant")
-    report = {
-        "target": float(a - eps),
-        "epsilon": float(eps),
-        "grid_n": big_n,
-        "steps": (step_a, step_b),
-        "pieces": len(section),
-    }
-    return section, itinerary, report, automaton
+    denominator N > 3/epsilon; Z is the itinerary system."""
+    return _recode(flow, marker, NearConstantLayout(epsilon, h_top, target_a), n, z_window)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,15 +1050,15 @@ def recode_near_constant(flow: SuspensionFlow, marker: MarkerSet, epsilon,
 
 def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: int,
                                    depth: int, sample_len: int | None = None) -> MarkerSet:
-    """Search marker words (increasing length, lexicographic) whose entire
-    certified gap spectrum satisfies gap_ok(gap, exact_return_time).
+    """Search marker words (increasing length, lexicographic) whose every
+    marker atom satisfies gap_ok(gap, exact_return_time).
 
-    Candidates are screened against one long sampled text, then the winner is
-    certified by the exhaustive scans.  Needs a window-0 roof so the return
-    time of a gap-g atom is the exact g-step roof sum along the text.
+    Candidates are screened on one long sampled text, by the return time of
+    the first sampled window of each gap; a candidate that passes is
+    certified by the exhaustive scans and by gap_ok on every atom of
+    build_atoms at the coding window just past its largest gap.  Needs a
+    window-0 roof.
     """
-    from suspshift.markers import return_spectrum, verify_coverage
-
     base, roof = flow.base, flow.roof
     if roof.m != 0:
         raise PreconditionFailed("gap-driven marker search needs a window-0 roof")
@@ -1141,62 +1067,42 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
     sample = _long_sample_word(base, sample_len)
     text = word_str(sample)
 
-    def screen(word):
+    def screened(word):
         starts = occurrence_starts(text, word_str(word))
-        if len(starts) < 3:
-            return None
-        gaps = sorted({b - a for a, b in zip(starts, starts[1:])})
-        return gaps
+        first = {}
+        for i, j in zip(starts, starts[1:]):
+            first.setdefault(j - i, i)
+        return len(starts) >= 3 and all(
+            gap_ok(g, sum((roof.table[(c,)] for c in sample[i:i + g]), as_qr(0)))
+            for g, i in first.items()
+        )
 
     for length in range(1, max_word_len + 1):
         for w in sorted(base.language(length)):
-            gaps = screen(w)
-            if gaps is None:
-                continue
-            if not all(gap_ok(g, _gap_return_time(roof, sample, text, word_str(w), g))
-                       for g in gaps):
+            if not screened(w):
                 continue
             spec = return_spectrum(base, w, depth)
             if spec.max_gap is None or not spec.min_is_exact:
                 continue
-            cert_gaps = sorted(spec.gap_counts)
-            ok = all(
-                gap_ok(g, _gap_return_time(roof, sample, text, word_str(w), g))
-                for g in cert_gaps
-            )
-            if not ok:
-                continue
-            k = spec.first_start_max
-            if not verify_coverage(base, w, k):
-                continue
-            return MarkerSet(
+            marker = MarkerSet(
                 word=w,
                 n=spec.min_return,
                 min_return=spec.min_return,
-                coverage_k=k,
+                coverage_k=spec.first_start_max,
                 scan_depth=depth,
                 spectrum=spec,
             )
+            atoms = build_atoms(flow, marker, spec.max_gap + len(w))
+            if not all(gap_ok(a.gap, a.t_return) for a in atoms):
+                continue
+            if verify_coverage(base, w, spec.first_start_max):
+                return marker
     raise PreconditionFailed(
         f"no marker with a feasible gap spectrum up to length {max_word_len}"
     )
 
 
-def _gap_return_time(roof, sample, text, pattern, gap):
-    """Exact roof sum over one gap-g occurrence window found in the sample."""
-    starts = occurrence_starts(text, pattern)
-    for i, j in zip(starts, starts[1:]):
-        if j - i == gap:
-            t = as_qr(0)
-            for c in range(i, j):
-                t = t + roof.table[(sample[c],)]
-            return t
-    raise PreconditionFailed(f"gap {gap} not located in the sample")
-
-
 def _long_sample_word(base: Subshift, length: int):
-    from suspshift.subshifts import Sturmian
-
     if isinstance(base, Sturmian):
         return base.point(as_qr(0, base.alpha.d)).block(0, length)
     # fall back to stitching admissible words via right extendability

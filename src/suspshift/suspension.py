@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, as_qr
-from suspshift.measures import Measure, _xlogx, sum_exact
+from suspshift.measures import Measure, _xlogx, integrate_locally_constant, sum_exact
 from suspshift.subshifts import (
     Cylinder,
     PointOracle,
@@ -70,14 +70,7 @@ class Roof:
 
     def integral(self, measure: Measure):
         """Exact integral of the roof against a shift-invariant measure."""
-        total = None
-        for w, v in sorted(self.table.items()):
-            mass = measure.mass(w)
-            if mass == 0:
-                continue
-            term = v * mass
-            total = term if total is None else total + term
-        return total
+        return integrate_locally_constant(self.table, measure)
 
     def to_json(self):
         from suspshift.subshifts import word_str

@@ -31,9 +31,16 @@ RUNS = {
     "recode-dep": ("configs/marked_binary_sturmian.json", 5),
     "generator-roundtrip": ("configs/roundtrip.json", 7),
     "kac-check": ("configs/kac_fullshift.json", 11),
+    "ocap": ("configs/ocap_fullshift.json", 3),
+    "abramov-check": ("configs/abramov_golden.json", 0),
+    "induced-check": ("configs/induced_golden.json", 0),
 }
 
 GOLDEN = {
+    'abramov-check': {
+        'abramov.csv':
+            'f3c079a4b3fd3a3cbd1905e1a3bc3b7dd118a16df7395401675bc0d14f64c562',
+    },
     'entropy': {
         'block_entropy.csv':
             '97c6c16e525ea9ad66f848c90f81fb595ef4b7d911c5a7b34cd10fa5e98e0f2a',
@@ -43,6 +50,10 @@ GOLDEN = {
     'generator-roundtrip': {
         'roundtrip.csv':
             'ce47e12431c4f5bd9730c68d4600a64e72cf717fb74b476b4fa66cd2835dc5f9',
+    },
+    'induced-check': {
+        'induced.csv':
+            '432b033b7db53dcb48401abc7a964b05cbf3926d283e00eea7cce825e37bc0dd',
     },
     'kac-check': {
         'kac.csv':
@@ -55,6 +66,10 @@ GOLDEN = {
             '59b260fb1c38c55f44617520473dd7357d609dedea19fbade759af79148ba8c4',
         'marker_gaps.csv':
             '0cb0af1f2ba48087d111112c55af3eab44c2411c398bb019f1c851fdcfb90b12',
+    },
+    'ocap': {
+        'ocap.csv':
+            'dbe7073a3b4a870ca1ecfba549539b20600a83b026f45c5d282b9aea835af344',
     },
     'periodic': {
         'periodic_census.csv':

@@ -16,10 +16,11 @@ from suspshift.recode import (
     PreconditionFailed,
     candidate_pairs,
     d_gap,
+    find_marker_with_feasible_gaps,
     recode_near_constant,
     recode_two_valued,
 )
-from suspshift.subshifts import Cylinder, word_str
+from suspshift.subshifts import SFT, Cylinder, word_str
 from suspshift.suspension import (
     Roof,
     SuspensionFlow,
@@ -204,6 +205,29 @@ class TestRecodeDex:
             got = tuple(word[center_idx - 25 : center_idx + 26])
             assert got == truth
 
+    def test_decode_rejects_foreign_window(self, two_valued_model):
+        # swap a 1 and a 0 inside one atom's code word: the segment is still a
+        # balanced code word, but of an n-word that no atom carries
+        rf = two_valued_model
+        x = rf.flow.base.point(qr(Fraction(3, 10)))
+        radius = rf.certified_encode_radius(25)
+        window, _, _ = rf.encode(make_flow_point(rf.flow, x, 0), radius=radius)
+        marks = [i for i, c in enumerate(window) if c == 2]
+        s, e = marks[len(marks) // 2] + 1, marks[len(marks) // 2 + 1] + 1
+        atom = next(a for a in rf.atoms if a.emission == window[s:e])
+        emissions = {a.emission for a in rf.atoms}
+        for i, j in itertools.combinations(range(len(atom.code_word)), 2):
+            body = list(atom.emission)
+            body[i], body[j] = body[j], body[i]
+            if tuple(body) not in emissions:
+                break
+        else:
+            pytest.fail("every swap gives another atom's emission")
+        assert BalancedCode(2 * atom.k, atom.k).satisfies(body[: 2 * atom.k])
+        foreign = window[:s] + tuple(body) + window[e:]
+        with pytest.raises(ConstraintViolated):
+            rf.decode(foreign)
+
     def test_z_language_factor_closed(self, two_valued_model):
         lang6 = two_valued_model.Z.language(6)
         lang4 = two_valued_model.Z.language(4)
@@ -321,6 +345,31 @@ class TestRecodeDep:
         assert trimmed(rem_positions) == trimmed(pattern_pos)
 
 
+    def test_encode_decode_round_trip(self, marked_model):
+        flow = marked_model.flow
+        radius = marked_model.certified_encode_radius(25)
+        for seed in range(50):
+            rng = random.Random(seed)
+            x = flow.base.point(qr(Fraction(rng.randrange(0, 10**6), 10**6)))
+            h = flow.roof.table[(x.block(0, 1)[0],)] * Fraction(rng.randrange(0, 100), 101)
+            window, _, center_base = marked_model.encode(make_flow_point(flow, x, h),
+                                                         radius=radius)
+            word, center_idx = marked_model.decode(window)
+            truth = tuple(x.block(center_base - 25, center_base + 26))
+            assert tuple(word[center_idx - 25 : center_idx + 26]) == truth
+
+
+class TestFeasibleGapMarker:
+    def test_certificate_reads_every_atom(self):
+        # the sample is 0202...: it shows only the atom 202 (return time 4) of
+        # the marker [2], never 212 (return time 5); 2 is followed by 0 or 1
+        # freely, so longer words have unbounded gaps
+        base = SFT(3, adjacency=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        flow = SuspensionFlow(base, Roof.by_symbol([1, 2, 3]))
+        with pytest.raises(PreconditionFailed, match="feasible gap spectrum"):
+            find_marker_with_feasible_gaps(flow, lambda g, t: t <= 4, 3, 12)
+
+
 @pytest.fixture(scope="module")
 def wide_marker(root2_flow):
     # big enough separation that every return clears the numerical semigroup
@@ -339,9 +388,8 @@ class TestRecodeBog:
     def test_near_constant_returns(self, root2_flow, wide_marker):
         eps = Fraction(1, 4)
         target = Fraction(3, 2)
-        section, itinerary, report, automaton = recode_near_constant(
-            root2_flow, wide_marker, eps, target_a=target
-        )
+        rf = recode_near_constant(root2_flow, wide_marker, eps, target_a=target)
+        section, automaton = rf.section(), rf.automaton
         a_post = float(target + eps)
         for atom in automaton.atoms:
             total = sum((d for d in atom.durations), qr(0))
@@ -361,9 +409,9 @@ class TestRecodeBog:
             assert abs(float(t) - a_post) < 2 * float(eps)
 
     def test_itinerary_entropy_below_log2(self, root2_flow, wide_marker):
-        section, itinerary, report, automaton = recode_near_constant(
-            root2_flow, wide_marker, Fraction(1, 4), target_a=Fraction(3, 2)
-        )
+        rf = recode_near_constant(root2_flow, wide_marker, Fraction(1, 4),
+                                  target_a=Fraction(3, 2))
+        itinerary = rf.Z
         m = 14
         count = len(itinerary.language(m))
         assert math.log(count) / m <= math.log(2) + 0.05
