@@ -2,6 +2,9 @@
 
 Builds the marked binary model once, then decodes tower names of 40 seeded
 flow points per n; below the marker horizon the decoder correctly refuses.
+A point matches when its decoded name, aligned at the chain coordinate of
+the name's first P letter, holds the true central base block at the
+point's own coordinate (`round_trip`'s aligned `match`).
 """
 
 from suspshift.generator import GeneratorModel, NoMarkersFound, round_trip

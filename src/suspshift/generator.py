@@ -16,11 +16,12 @@ this forces the base of the P-tower onto [1] x {0} and the Q-tower onto
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from suspshift.quadratic import QuadraticReal, as_qr
+from suspshift.quadratic import QuadraticReal, _make, as_qr, sign_surd
 from suspshift.recode import ChainPoint, PreconditionFailed, RecodedFlow
 from suspshift.subshifts import Word, word_str
 
@@ -39,8 +40,25 @@ class MarkingSpan:
     a_count: int
 
 
+def _over(v: QuadraticReal, L: int):
+    """Integers (x, y) with v = (x + y*sqrt(d))/L, for a multiple L of v.C."""
+    s = L // v.C
+    return v.A * s, v.B * s
+
+
 class GeneratorModel:
-    """Time-t map data for t = p and alpha = q - p over a marked-binary recoded flow."""
+    """Time-t map data for t = p and alpha = q - p over a marked-binary recoded flow.
+
+    The time-p walk (`name_of`, `step`, `step_back`) runs on integers.  `den`
+    is the lcm of the denominators C of p, alpha and every atom duration;
+    a walk from a height h takes L = lcm(den, C of h), so that each height
+    on it is (x + y*sqrt(d))/L for integers x, y.  The walk's heights are h
+    plus or minus integer combinations of p and durations, so x and y stay
+    integers, adding a duration (or p) is two integer adds, and each test
+    (h < 0, h >= roof, h < alpha) is the exact sign of x' + y'*sqrt(d)
+    (`sign_surd`, comparing integer squares).  Nothing is rounded and no
+    float is involved; the walk is the exact map of the QuadraticReal
+    definition, only without building a value per step."""
 
     def __init__(self, marked_flow: RecodedFlow):
         if marked_flow.kind != "marked-binary":
@@ -61,6 +79,13 @@ class GeneratorModel:
             raise PreconditionFailed("need 2(q - p) < p for the letter budget")
         self.m_condition = self._m_condition_constant()
         self.max_emission = max(len(a.emission) for a in marked_flow.atoms)
+        # the +-reach cover around each roof read fixes the order in which
+        # a chain draws its atoms, and with it every sampled point
+        self.reach = 2 * self.max_emission
+        values = [self.p, self.alpha, *(r for a in marked_flow.atoms for r in a.durations)]
+        self.den = math.lcm(*(v.C for v in values))
+        # the radicand of the model, or None when it is all rational
+        self.d = next((v.d for v in values if v.B), None)
 
     # -- the sweep constant: every phase reaches the low Q-tower ----------
 
@@ -96,47 +121,109 @@ class GeneratorModel:
         rng = random.Random(seed)
         chain = ChainPoint(self.rf.automaton, rng)
         coord = rng.randrange(0, len(self.rf.atoms[chain.chain[0]].emission))
-        roof = self.roof_at(chain, coord)
+        chain.cover(coord - self.reach, coord + self.reach)
+        roof = chain.roofs[coord - chain.offset]
         height = roof * Fraction(rng.randrange(0, 1000), 1001)
         return ZFlowPoint(chain, coord, height)
 
     def roof_at(self, chain: ChainPoint, coord: int) -> QuadraticReal:
-        # the +-2*max_emission cover fixes the order in which the chain
-        # draws its atoms, and with it every sampled point
-        reach = 2 * self.max_emission
-        chain.cover(coord - reach, coord + reach)
+        chain.cover(coord - self.reach, coord + self.reach)
         return chain.roofs[coord - chain.offset]
 
-    def _settle(self, chain: ChainPoint, coord: int, h: QuadraticReal):
-        """Normalize height h over coord to the unique (coord', h') with
-        0 <= h' < roof(coord'): walk the chain down while h < 0, else up
-        while h >= roof.  A negative h must lie below roof(coord), as it
-        does after a time shift back, since the walk down stops at h >= 0."""
-        if h.sign() < 0:
-            while h.sign() < 0:
+    # -- the integer walk ----------------------------------------------------
+
+    def _integer_form(self, h: QuadraticReal):
+        """(x, y, L, d) with h = (x + y*sqrt(d))/L and den | L."""
+        d = h.d if self.d is None else self.d
+        if h.B and h.d != d:
+            raise ValueError(f"mixed radicands {d} and {h.d}")
+        L = math.lcm(self.den, h.C)
+        return (*_over(h, L), L, d)
+
+    def _bounds(self, chain: ChainPoint):
+        """The chain's offset, and the range [lo, hi] of coordinates whose
+        +-reach cover would extend nothing."""
+        off = chain.offset
+        return off, off + self.reach, off + len(chain.roofs) - self.reach
+
+    def _settle(self, chain: ChainPoint, coord: int, x: int, y: int, L: int, d: int):
+        """Normalize the height (x + y*sqrt(d))/L over coord to the unique
+        (coord', x', y') with 0 <= h' < roof(coord'): walk the chain down
+        while h < 0, else up while h >= roof.  A negative h must lie below
+        roof(coord), as it does after a time shift back, since the walk down
+        stops at h >= 0.  Each roof read first covers +-reach around its
+        coordinate, as `roof_at` does; a cover that would extend nothing is
+        skipped."""
+        reach, roofs = self.reach, chain.roofs
+        off, lo, hi = self._bounds(chain)
+        if sign_surd(x, y, d) < 0:
+            while sign_surd(x, y, d) < 0:
                 coord -= 1
-                h = h + self.roof_at(chain, coord)
-            return coord, h
-        while h >= (r := self.roof_at(chain, coord)):
-            h = h - r
+                if not lo <= coord <= hi:
+                    chain.cover(coord - reach, coord + reach)
+                    off, lo, hi = self._bounds(chain)
+                r = roofs[coord - off]
+                s = L // r.C
+                x += r.A * s
+                y += r.B * s
+            return coord, x, y
+        while True:
+            if not lo <= coord <= hi:
+                chain.cover(coord - reach, coord + reach)
+                off, lo, hi = self._bounds(chain)
+            r = roofs[coord - off]
+            s = L // r.C
+            rx, ry = r.A * s, r.B * s
+            if sign_surd(x - rx, y - ry, d) < 0:
+                return coord, x, y
+            x -= rx
+            y -= ry
             coord += 1
-        return coord, h
+
+    def _shifted(self, pt: "ZFlowPoint", k: int) -> "ZFlowPoint":
+        """The point phi_{k p}(pt), as one settle from height h + k p."""
+        x, y, L, d = self._integer_form(pt.height)
+        px, py = _over(self.p, L)
+        coord, x, y = self._settle(pt.chain, pt.coord, x + k * px, y + k * py, L, d)
+        return ZFlowPoint(pt.chain, coord, _make(x, y, L, d))
 
     def step(self, pt: "ZFlowPoint") -> "ZFlowPoint":
         """Exact time-p map on the recoded suspension."""
-        return ZFlowPoint(pt.chain, *self._settle(pt.chain, pt.coord, pt.height + self.p))
+        return self._shifted(pt, 1)
 
     def step_back(self, pt: "ZFlowPoint") -> "ZFlowPoint":
-        return ZFlowPoint(pt.chain, *self._settle(pt.chain, pt.coord, pt.height - self.p))
-
-    def _letter(self, chain: ChainPoint, coord: int, h: QuadraticReal) -> str:
-        chain.cover(coord, coord + 1)
-        if chain.symbols[coord - chain.offset] == 1:
-            return LETTER_P
-        return LETTER_Q if h < self.alpha else LETTER_A
+        return self._shifted(pt, -1)
 
     def letter(self, pt: "ZFlowPoint") -> str:
-        return self._letter(pt.chain, pt.coord, pt.height)
+        chain = pt.chain
+        chain.cover(pt.coord, pt.coord + 1)
+        if chain.symbols[pt.coord - chain.offset] == 1:
+            return LETTER_P
+        return LETTER_Q if pt.height < self.alpha else LETTER_A
+
+    def _walk(self, pt: "ZFlowPoint", n: int):
+        """The name of `name_of` and the chain coordinate of its first P
+        letter (None if it has none)."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        chain, settle = pt.chain, self._settle
+        x, y, L, d = self._integer_form(pt.height)
+        px, py = _over(self.p, L)
+        ax, ay = _over(self.alpha, L)
+        symbols = chain.symbols
+        coord, x, y = settle(chain, pt.coord, x - 2 * n * px, y - 2 * n * py, L, d)
+        letters, first = [], None
+        for k in range(4 * n + 1):
+            if k:
+                coord, x, y = settle(chain, coord, x + px, y + py, L, d)
+            # the settle read this coordinate's roof, so it is covered
+            if symbols[coord - chain.offset] == 1:
+                letters.append(LETTER_P)
+                if first is None:
+                    first = coord
+            else:
+                letters.append(LETTER_Q if sign_surd(x - ax, y - ay, d) < 0 else LETTER_A)
+        return "".join(letters), first
 
     def name_of(self, pt: "ZFlowPoint", n: int) -> str:
         """Tower letters of phi_{k p}(pt) for k in [-2n, 2n], exact.
@@ -145,15 +232,7 @@ class GeneratorModel:
         each letter read from the chain's symbols and the test h < alpha.
         The chain is read, and so materialized, exactly as by 2n `step_back`
         calls followed by 4n `step` calls."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        chain, p, settle, letter = pt.chain, self.p, self._settle, self._letter
-        coord, h = settle(chain, pt.coord, pt.height - 2 * n * p)
-        letters = [letter(chain, coord, h)]
-        for _ in range(4 * n):
-            coord, h = settle(chain, coord, h + p)
-            letters.append(letter(chain, coord, h))
-        return "".join(letters)
+        return self._walk(pt, n)[0]
 
 
 @dataclass(frozen=True)
@@ -166,6 +245,16 @@ class ZFlowPoint:
         return self.chain.block(self.coord + i, self.coord + j)
 
 
+def _marking_a_count(inner: str, k_param: int):
+    """The A-count of the letters between two P letters if they form a
+    marking (nonempty, Q and A only, K or K+1 A-letters), else None."""
+    a_count = inner.count(LETTER_A)
+    if a_count in (k_param, k_param + 1) and inner \
+            and a_count + inner.count(LETTER_Q) == len(inner):
+        return a_count
+    return None
+
+
 def find_marking_subwords(name: str, k_param: int):
     """Maximal P..P blocks of tower letters whose A-count is K or K+1.
 
@@ -173,13 +262,14 @@ def find_marking_subwords(name: str, k_param: int):
     words give counts < K and the pre-marking run gives M + K > K + 1.
     """
     spans = []
-    p_positions = [i for i, c in enumerate(name) if c == LETTER_P]
-    for i, j in zip(p_positions, p_positions[1:]):
-        inner = name[i + 1 : j]
-        if inner and all(c in (LETTER_Q, LETTER_A) for c in inner):
-            a_count = inner.count(LETTER_A)
-            if a_count in (k_param, k_param + 1):
-                spans.append(MarkingSpan(i, j, a_count))
+    parts = name.split(LETTER_P)
+    start = len(parts[0])
+    for inner in parts[1:-1]:
+        end = start + len(inner) + 1
+        a_count = _marking_a_count(inner, k_param)
+        if a_count is not None:
+            spans.append(MarkingSpan(start, end, a_count))
+        start = end
     return spans
 
 
@@ -189,35 +279,41 @@ def decode_name(name: str, k_param: int) -> str:
     Marking subwords become 1 0^K 1; elsewhere each P becomes 1, each A
     becomes 0 and each Q is deleted (it shares its column with the following
     A).  Letters before the first P and after the last P are dropped, since
-    their column groups may be cut by the window.
+    their column groups may be cut by the window.  One pass over the letters
+    between consecutive P letters.
     """
-    spans = find_marking_subwords(name, k_param)
-    if len(spans) < 2:
-        raise NoMarkersFound("window too short: fewer than two marking subwords")
-    p_positions = [i for i, c in enumerate(name) if c == LETTER_P]
-    marking_open = {s.start for s in spans}
-    out = []
-    for i, j in zip(p_positions, p_positions[1:]):
-        out.append("1")
-        inner = name[i + 1 : j]
-        if i in marking_open and inner.count(LETTER_A) in (k_param, k_param + 1) \
-                and all(c in (LETTER_Q, LETTER_A) for c in inner):
-            out.append("0" * k_param)
+    out, markings = [], 0
+    for inner in name.split(LETTER_P)[1:-1]:
+        if _marking_a_count(inner, k_param) is None:
+            out.append("1" + "0" * inner.count(LETTER_A))
         else:
-            out.append("0" * inner.count(LETTER_A))
+            markings += 1
+            out.append("1" + "0" * k_param)
+    if markings < 2:
+        raise NoMarkersFound("window too short: fewer than two marking subwords")
     out.append("1")
     return "".join(out)
 
 
-def round_trip(model: GeneratorModel, pt: ZFlowPoint, n: int):
-    """Exact end-to-end check: the true central base block is a factor of
-    the decoded name.
+def aligned_match(recovered: str, first: int, truth: str, start: int) -> bool:
+    """True iff `recovered`, read as the base word from chain coordinate
+    `first` on, holds `truth` at coordinate `start`."""
+    offset = start - first
+    return offset >= 0 and recovered.startswith(truth, offset)
 
+
+def round_trip(model: GeneratorModel, pt: ZFlowPoint, n: int):
+    """Exact end-to-end check: the decoded name, aligned at the chain
+    coordinate of the name's first P letter, holds the true central base
+    block at the point's own coordinate.
+
+    `match` is this aligned test, not a substring test: a truth that occurs
+    in the recovered word only at another position does not match.
     Returns (recovered, truth, match)."""
-    name = model.name_of(pt, n)
+    name, first = model._walk(pt, n)
     recovered = decode_name(name, model.K)
     truth = word_str(pt.base_block(-n, n + 1))
-    return recovered, truth, truth in recovered
+    return recovered, truth, aligned_match(recovered, first, truth, pt.coord - n)
 
 
 def verify_succession(name: str) -> bool:

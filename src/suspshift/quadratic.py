@@ -4,7 +4,8 @@ A value a + b*sqrt(d), with rational a, b and a fixed non-square integer
 d >= 2, is stored in integer form (A + B*sqrt(d))/C: integers A, B, C with
 C > 0 and gcd(A, B, C) = 1, so every value has exactly one form.  A ring
 operation is a few integer products and one gcd; a sign or a comparison
-compares two integer squares, and a floor is one isqrt (`floor_surd`).
+compares two integer squares (`sign_surd`), and a floor is one isqrt
+(`floor_surd`).
 The rational coordinates a = A/C and b = B/C are read back as Fractions.
 Floats appear only through an explicit float() call at output time.
 Purely rational values (B == 0) are compatible with every d.
@@ -47,7 +48,7 @@ def floor_surd(a: int, b: int, d: int, c: int) -> int:
     return (a + s) // c
 
 
-def _sign(a: int, b: int, d: int) -> int:
+def sign_surd(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for integers a, b and a non-square d."""
     if b == 0:
         return (a > 0) - (a < 0)
@@ -163,14 +164,14 @@ class QuadraticReal:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d): -1, 0 or +1."""
-        return _sign(self.A, self.B, self.d)
+        return sign_surd(self.A, self.B, self.d)
 
     def _cmp(self, other) -> int:
         a2, b2, c2, d = self._parts(other)
         c1 = self.C
         if c1 == c2:
-            return _sign(self.A - a2, self.B - b2, d)
-        return _sign(self.A * c2 - a2 * c1, self.B * c2 - b2 * c1, d)
+            return sign_surd(self.A - a2, self.B - b2, d)
+        return sign_surd(self.A * c2 - a2 * c1, self.B * c2 - b2 * c1, d)
 
     def __eq__(self, other):
         if isinstance(other, QuadraticReal):

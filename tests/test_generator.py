@@ -1,21 +1,25 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from suspshift.quadratic import qr
+from suspshift.quadratic import QuadraticReal, qr, sqrt_d
 from suspshift.generator import (
     GeneratorModel,
     MarkingSpan,
     NoMarkersFound,
     ZFlowPoint,
+    aligned_match,
     decode_name,
     find_marking_subwords,
     round_trip,
     verify_succession,
 )
-from suspshift.recode import ChainPoint, PreconditionFailed
-from suspshift.subshifts import word_str
+from suspshift.instances import build_marked_binary_instance
+from suspshift.recode import AtomAutomaton, ChainPoint, PreconditionFailed
+from suspshift.subshifts import Sturmian, word_str
+from suspshift.suspension import Roof, SuspensionFlow
 
 
 class TestModel:
@@ -239,17 +243,16 @@ def chain_state(chain):
     return list(chain.chain), chain.offset, list(chain.symbols)
 
 
-@pytest.mark.parametrize("n", [1, 5, 25, 50])
-def test_name_of_matches_per_step_definition(gen_model, n):
-    ref = ReferenceWalk(gen_model)
-    atoms = gen_model.rf.atoms
-    for seed in range(100):
+def check_names(model, n, seeds):
+    ref = ReferenceWalk(model)
+    atoms = model.rf.atoms
+    for seed in seeds:
         want_pt = ref.sample_point(seed)
-        pt = gen_model.sample_point(seed)
+        pt = model.sample_point(seed)
         assert (pt.coord, pt.height) == (want_pt.coord, want_pt.height)
         assert chain_state(pt.chain) == chain_state(want_pt.chain)
         want = ref.name_of(want_pt, n)
-        assert gen_model.name_of(pt, n) == want, f"seed {seed}"
+        assert model.name_of(pt, n) == want, f"seed {seed}"
         assert chain_state(pt.chain) == chain_state(want_pt.chain), f"seed {seed}"
         assert pt.chain.roofs == [d for ai in pt.chain.chain for d in atoms[ai].durations]
         # the chain then grows on in the same way, as round_trip reads it
@@ -257,25 +260,178 @@ def test_name_of_matches_per_step_definition(gen_model, n):
         assert chain_state(pt.chain) == chain_state(want_pt.chain)
 
 
-def test_steps_match_per_step_definition(gen_model):
-    ref = ReferenceWalk(gen_model)
-    for seed in range(20):
-        pt, want = gen_model.sample_point(seed), ref.sample_point(seed)
-        for k in range(30):
-            move, ref_move = ((gen_model.step, ref.step) if k % 3 else
-                              (gen_model.step_back, ref.step_back))
+def check_steps(model, seeds, moves=30):
+    ref = ReferenceWalk(model)
+    for seed in seeds:
+        pt, want = model.sample_point(seed), ref.sample_point(seed)
+        for k in range(moves):
+            move, ref_move = ((model.step, ref.step) if k % 3 else
+                              (model.step_back, ref.step_back))
             pt, want = move(pt), ref_move(want)
             assert (pt.coord, pt.height) == (want.coord, want.height)
-            assert gen_model.roof_at(pt.chain, pt.coord) == ref.roof_at(want.chain, want.coord)
-            assert gen_model.letter(pt) == ref.letter(want)
+            assert model.roof_at(pt.chain, pt.coord) == ref.roof_at(want.chain, want.coord)
+            assert model.letter(pt) == ref.letter(want)
         assert chain_state(pt.chain) == chain_state(want.chain)
         # a letter read far outside the materialized chain extends it first
         for jump in (-400, 400):
             far, far_ref = (ZFlowPoint(p.chain, p.coord + jump, qr(0)) for p in (pt, want))
-            assert gen_model.letter(far) == ref.letter(far_ref)
+            assert model.letter(far) == ref.letter(far_ref)
             assert chain_state(pt.chain) == chain_state(want.chain)
+
+
+@pytest.mark.parametrize("n", [1, 5, 25, 50])
+def test_name_of_matches_per_step_definition(gen_model, n):
+    check_names(gen_model, n, range(100))
+
+
+def test_steps_match_per_step_definition(gen_model):
+    check_steps(gen_model, range(20))
 
 
 def test_name_of_needs_positive_n(gen_model):
     with pytest.raises(ValueError):
         gen_model.name_of(gen_model.sample_point(0), 0)
+
+
+# ---------------------------------------------------------------------------
+# the aligned round-trip gate
+
+
+def test_recovered_word_is_the_chain_block_from_the_first_p(gen_model):
+    n = 50
+    for seed in range(100):
+        pt = gen_model.sample_point(seed)
+        name, first = gen_model._walk(pt, n)
+        rec = decode_name(name, gen_model.K)
+        assert rec == word_str(pt.chain.block(first, first + len(rec))), f"seed {seed}"
+
+
+@pytest.mark.parametrize("control", ["shifted", "foreign"])
+def test_round_trip_negative_controls(gen_model, monkeypatch, control):
+    # the truth read 7 coordinates to the right, or another seed's central
+    # block: both must fail the aligned gate
+    true_block, other = ZFlowPoint.base_block, gen_model.sample_point(1000)
+
+    def wrong_block(pt, i, j):
+        if control == "shifted":
+            return true_block(ZFlowPoint(pt.chain, pt.coord + 7, pt.height), i, j)
+        return true_block(other, i, j)
+
+    monkeypatch.setattr(ZFlowPoint, "base_block", wrong_block)
+    substring_hits = 0
+    for seed in range(40):
+        rec, truth, match = round_trip(gen_model, gen_model.sample_point(seed), 50)
+        assert not match, f"seed {seed}"
+        substring_hits += truth in rec
+    if control == "shifted":
+        # a factor of the recovered word: a substring test could not tell
+        # it from the true block
+        assert substring_hits > 0
+
+
+def test_aligned_match_offsets():
+    assert aligned_match("1001", 10, "00", 11)
+    assert not aligned_match("1001", 10, "00", 12)
+    assert not aligned_match("1001", 10, "10", 9)   # starts before the word
+    assert not aligned_match("1001", 10, "011", 12)  # runs past its end
+
+
+# ---------------------------------------------------------------------------
+# two more instances: radicands 3 and 7, durations with denominator 2
+
+
+@pytest.fixture(scope="module", params=["sqrt3", "sqrt7"])
+def other_gen_model(request):
+    if request.param == "sqrt3":
+        flow = SuspensionFlow(Sturmian(sqrt_d(3) - 1), Roof.constant(sqrt_d(3)))
+        q = (1 + sqrt_d(3)) / 2
+    else:
+        flow = SuspensionFlow(Sturmian(sqrt_d(7) - 2), Roof.constant(sqrt_d(7)))
+        q = sqrt_d(7) - Fraction(3, 2)
+    p = qr(1)
+    model = GeneratorModel(build_marked_binary_instance(flow=flow, p=p, q=q, delta=q - p))
+    assert len(model.rf.atoms) == 2 and model.K == 2
+    assert model.den == 2 and model.d in (3, 7)
+    return model
+
+
+@pytest.mark.parametrize("n", [1, 7, 50])
+def test_name_of_matches_per_step_definition_on_more_instances(other_gen_model, n):
+    check_names(other_gen_model, n, range(100))
+
+
+def test_steps_match_per_step_definition_on_more_instances(other_gen_model):
+    check_steps(other_gen_model, range(20))
+
+
+def test_round_trips_on_more_instances(other_gen_model):
+    for seed in range(20):
+        rec, truth, match = round_trip(other_gen_model, other_gen_model.sample_point(seed), 50)
+        assert match, f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# radicands of the walk
+
+
+def test_height_from_another_field_is_refused(gen_model):
+    pt = gen_model.sample_point(3)
+    odd = ZFlowPoint(pt.chain, pt.coord, qr(0, Fraction(1, 7), 3))
+    for walk in (lambda: gen_model.name_of(odd, 5), lambda: gen_model.step(odd),
+                 lambda: gen_model.step_back(odd)):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            walk()
+
+
+def test_rational_model_takes_the_radicand_of_the_height(marked_model):
+    # p = 1, q = 6/5 and rational durations: the recode refuses such a
+    # model (p/q rational), so it is assembled here from the sqrt(2) one
+    atoms = [dataclasses.replace(a, durations=[qr(1) if s == 1 else qr(Fraction(13, 10))
+                                               for s in a.emission])
+             for a in marked_model.atoms]
+    aut = marked_model.automaton
+    constants = dict(marked_model.constants, p=qr(1), q=qr(Fraction(6, 5)),
+                     delta=qr(Fraction(1, 5)))
+    model = GeneratorModel(dataclasses.replace(
+        marked_model, constants=constants, atoms=atoms,
+        automaton=AtomAutomaton(atoms, aut.successors, aut.alphabet_size)))
+    assert model.d is None
+    ref = ReferenceWalk(model)
+    for seed in range(10):
+        pts = [ZFlowPoint(ChainPoint(model.rf.automaton, random.Random(seed)), 3,
+                          qr(Fraction(1, 9), Fraction(seed, 11), 3)) for _ in range(2)]
+        assert model.name_of(pts[0], 20) == ref.name_of(pts[1], 20)
+        assert chain_state(pts[0].chain) == chain_state(pts[1].chain)
+        moved, want = model.step_back(model.step(pts[0])), ref.step_back(ref.step(pts[1]))
+        assert (moved.coord, moved.height) == (want.coord, want.height)
+        assert moved.height.d == 3
+
+
+# ---------------------------------------------------------------------------
+# a deterministic speed guard: the walk and the decoder build no values
+
+
+QR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
+                "__ge__", "__eq__", "sign", "floor", "frac")
+
+
+def test_name_and_decode_do_no_quadratic_arithmetic(gen_model, monkeypatch):
+    pts = [gen_model.sample_point(seed) for seed in range(5)]
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in QR_OPERATORS:
+        monkeypatch.setattr(QuadraticReal, name, counting(name, getattr(QuadraticReal, name)))
+    # the counters see operator use
+    assert qr(1) + qr(2) < qr(4) and calls == ["__add__", "__lt__"]
+    calls.clear()
+    for pt in pts:
+        name = gen_model.name_of(pt, 50)
+        decode_name(name, gen_model.K)
+    assert calls == []
