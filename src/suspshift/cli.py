@@ -20,6 +20,7 @@ from fractions import Fraction
 from suspshift.quadratic import QuadraticReal, qr
 from suspshift.subshifts import (
     Cylinder,
+    DepthExceeded,
     parse_word,
     subshift_from_json,
     word_str,
@@ -42,6 +43,7 @@ from suspshift.suspension import (
     orbit_capacity_discrete,
     return_to_section,
     sample_sft_orbit,
+    HorizonExceeded,
     NotHit,
     SFTWalk,
     time_delta_tower_entropy,
@@ -67,6 +69,8 @@ ERRORS = (
     NoMarkerFound,
     NoMarkersFound,
     NotHit,
+    HorizonExceeded,
+    DepthExceeded,
     ValueError,
     KeyError,
 )

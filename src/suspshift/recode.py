@@ -20,9 +20,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from suspshift.markers import MarkerSet, occurrence_starts, return_spectrum, verify_coverage
-from suspshift.quadratic import QuadraticReal, as_qr, rationally_independent
+from suspshift.quadratic import QuadraticReal, _make, as_qr, rationally_independent
 from suspshift.subshifts import (
     Cylinder,
     GeneratedSubshift,
@@ -135,6 +136,10 @@ class BalancedCode:
 
     The run cap is only meaningful together with first=last=1 (every zero
     run is then interior, i.e. bracketed by ones).
+
+    Counts come from one table, filled iteratively from the last position
+    back (so any length works), with one flat row per position over the
+    states (ones left, zero run); the run is tracked only under a cap.
     """
 
     def __init__(self, length: int, ones: int, first_last_one: bool = False,
@@ -149,7 +154,8 @@ class BalancedCode:
         self.ones = ones
         self.first_last_one = first_last_one
         self.max_run = max_interior_zero_run
-        self._counts = {}
+        self._runs = 1 if max_interior_zero_run is None else max_interior_zero_run + 1
+        self._rows = self._table()
 
     def satisfies(self, word: Word) -> bool:
         word = tuple(word)
@@ -159,44 +165,35 @@ class BalancedCode:
             return False
         if self.first_last_one and (word[0] != 1 or word[-1] != 1):
             return False
-        if self.max_run is not None:
-            run = 0
-            for c in word:
-                run = run + 1 if c == 0 else 0
-                if run > self.max_run:
-                    return False
-        return True
+        return self.max_run is None or "0" * (self.max_run + 1) not in word_str(word)
 
     def _allowed(self, pos: int, c: int, ones_left: int, run: int):
-        """Whether symbol c may be placed at pos; returns the new run or None."""
+        """Whether symbol c may be placed at pos; returns the new run (always
+        0 without a cap) or None."""
         if c == 1:
-            if ones_left == 0:
-                return None
-            return 0
+            return 0 if ones_left else None
         if self.first_last_one and pos in (0, self.length - 1):
             return None
-        new_run = run + 1
-        if self.max_run is not None and new_run > self.max_run:
-            return None
-        return new_run
+        if self.max_run is None:
+            return 0
+        return run + 1 if run < self.max_run else None
 
     def _suffix_count(self, pos: int, ones_left: int, run: int) -> int:
         """Number of valid completions from `pos` with `ones_left` ones to
         place and current trailing zero run `run`."""
-        remaining = self.length - pos
-        if ones_left < 0 or ones_left > remaining:
-            return 0
-        if remaining == 0:
-            return 1
-        key = (pos, ones_left, run)
-        if key not in self._counts:
-            total = 0
-            for c in (0, 1):
-                new_run = self._allowed(pos, c, ones_left, run)
-                if new_run is not None:
-                    total += self._suffix_count(pos + 1, ones_left - c, new_run)
-            self._counts[key] = total
-        return self._counts[key]
+        return self._rows[pos][ones_left * self._runs + run]
+
+    def _table(self):
+        runs = self._runs
+        rows = [None] * self.length + [[1] * runs + [0] * (runs * self.ones)]
+        for pos in range(self.length - 1, -1, -1):
+            # the run after a 0 at pos, per current run (None: no 0 here)
+            zs = [self._allowed(pos, 0, 0, r) for r in range(runs)]
+            nxt = rows[pos + 1]
+            rows[pos] = [(nxt[(o - 1) * runs] if o else 0)
+                         + (nxt[o * runs + z] if z is not None else 0)
+                         for o in range(self.ones + 1) for z in zs]
+        return rows
 
     def count(self) -> int:
         return self._suffix_count(0, self.ones, 0)
@@ -229,12 +226,10 @@ class BalancedCode:
         index = 0
         ones_left, run = self.ones, 0
         for pos, sym in enumerate(word):
-            for c in (0, 1):
-                if c == sym:
-                    break
-                new_run = self._allowed(pos, c, ones_left, run)
-                if new_run is not None:
-                    index += self._suffix_count(pos + 1, ones_left - c, new_run)
+            # a 1 here ranks after every word with a 0 here
+            z = self._allowed(pos, 0, ones_left, run) if sym == 1 else None
+            if z is not None:
+                index += self._suffix_count(pos + 1, ones_left, z)
             run = self._allowed(pos, sym, ones_left, run)
             ones_left -= sym
         return index
@@ -897,13 +892,19 @@ class MarkedBinaryLayout(_CodedLayout):
         if self.delta.sign() <= 0:
             raise PreconditionFailed("need delta > 0")
         self.last_range = (self.q, self.q + self.delta)
+        self._candidates = {}  # exact return time -> its sorted candidate pairs
 
     def pair(self, t_return, K: int, lang_count: int):
         """The (k, l, remainder) for one return time at this K, or None: the
-        first candidate pair whose code word has room for the markings and
-        at least lang_count words."""
-        for k, l, rem in sorted(candidate_pairs(t_return, self.p, self.q, self.delta),
-                                key=lambda t: (t[2], t[1], t[0])):
+        first candidate pair, by (remainder, l, k), whose code word has room
+        for the markings and at least lang_count words.  The candidates of
+        a return time are found once on this layout, whatever K asks."""
+        t = as_qr(t_return)
+        key = (t.A, t.B, t.C)
+        if key not in self._candidates:
+            self._candidates[key] = sorted(candidate_pairs(t, self.p, self.q, self.delta),
+                                           key=lambda c: (c[2], c[1], c[0]))
+        for k, l, rem in self._candidates[key]:
             if k < 3 or l < self.M + 2 * K:
                 continue
             zeros = l - self.M - 2 * K
@@ -917,22 +918,21 @@ class MarkedBinaryLayout(_CodedLayout):
         return None
 
     def feasible(self, t_return, lang_count: int) -> bool:
+        """Whether some K in ks schedules t_return with room for lang_count
+        code words (its candidate pairs are found once for every K)."""
         return any(self.pair(t_return, K, lang_count) is not None for K in self.ks)
 
     def plan(self, atoms, lang_count: int):
         for K in self.ks:
-            pairs = []
-            for atom in atoms:
-                pairs.append(self.pair(atom.t_return, K, lang_count))
-                if pairs[-1] is None:
-                    break
-            else:
-                for atom, (k, l, rem) in zip(atoms, pairs):
-                    atom.k, atom.l, atom.remainder = k, l, rem
-                self.K = K
-                self.separator = (0,) * (self.M + K) + (1,) + (0,) * K + (1,)
-                self.cut = len(self.separator) - 1  # the closing 1 opens the next code word
-                return
+            pairs = [self.pair(atom.t_return, K, lang_count) for atom in atoms]
+            if None in pairs:
+                continue
+            for atom, (k, l, rem) in zip(atoms, pairs):
+                atom.k, atom.l, atom.remainder = k, l, rem
+            self.K = K
+            self.separator = (0,) * (self.M + K) + (1,) + (0,) * K + (1,)
+            self.cut = len(self.separator) - 1  # the closing 1 opens the next code word
+            return
         raise CapacityExceeded(
             f"no K in {self.ks} schedules all atoms; raise n or adjust (p,q,delta)"
         )
@@ -1058,6 +1058,11 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
     certified by the exhaustive scans and by gap_ok on every atom of
     build_atoms at the coding window just past its largest gap.  Needs a
     window-0 roof.
+
+    gap_ok is asked once per distinct (gap, exact return time) in a call:
+    screen and certificate share a memo keyed on the time's unique integer
+    form (A, B, C), which dies with the call.  Sampled window sums are
+    differences of one integer prefix-sum pass over the sample's roofs.
     """
     base, roof = flow.base, flow.roof
     if roof.m != 0:
@@ -1066,6 +1071,19 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
         sample_len = 6 * depth
     sample = _long_sample_word(base, sample_len)
     text = word_str(sample)
+    den = math.lcm(*(v.C for v in roof.table.values()))
+    d = next((v.d for v in roof.table.values() if v.B), 2)
+    table = {w[0]: v for w, v in roof.table.items()}
+    # the roof sum over sample[:i] is (xs[i] + ys[i]*sqrt(d))/den
+    xs = list(accumulate((table[c].A * (den // table[c].C) for c in sample), initial=0))
+    ys = list(accumulate((table[c].B * (den // table[c].C) for c in sample), initial=0))
+    verdicts = {}
+
+    def verdict(gap, t):
+        key = (gap, t.A, t.B, t.C)
+        if key not in verdicts:
+            verdicts[key] = gap_ok(gap, t)
+        return verdicts[key]
 
     def screened(word):
         starts = occurrence_starts(text, word_str(word))
@@ -1073,7 +1091,7 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
         for i, j in zip(starts, starts[1:]):
             first.setdefault(j - i, i)
         return len(starts) >= 3 and all(
-            gap_ok(g, sum((roof.table[(c,)] for c in sample[i:i + g]), as_qr(0)))
+            verdict(g, _make(xs[i + g] - xs[i], ys[i + g] - ys[i], den, d))
             for g, i in first.items()
         )
 
@@ -1093,7 +1111,7 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
                 spectrum=spec,
             )
             atoms = build_atoms(flow, marker, spec.max_gap + len(w))
-            if not all(gap_ok(a.gap, a.t_return) for a in atoms):
+            if not all(verdict(a.gap, a.t_return) for a in atoms):
                 continue
             if verify_coverage(base, w, spec.first_start_max):
                 return marker

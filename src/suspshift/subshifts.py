@@ -31,8 +31,17 @@ def parse_word(s: str) -> Word:
     return tuple(int(c) for c in s)
 
 
+_DIGITS = bytes(range(48, 58)).ljust(256, b"?")  # byte -> digit, "?" above 9
+
+
 def word_str(w: Word) -> str:
-    return "".join(str(c) for c in w)
+    """The symbols in decimal, concatenated: one C-level translate for
+    words over 0..9, `str` per symbol otherwise."""
+    try:
+        s = bytes(w).translate(_DIGITS)
+    except ValueError:  # a symbol outside 0..255
+        s = b"?"
+    return s.decode() if b"?" not in s else "".join(map(str, w))
 
 
 @dataclass(frozen=True)
@@ -443,21 +452,31 @@ class Sturmian(Subshift):
     def _language(self, n: int) -> frozenset:
         """Walk the circle once: each breakpoint flips the symbols whose
         coding interval boundary it carries, so consecutive arcs differ in
-        O(1) positions and the n+1 words come out in linear exact work."""
+        O(1) positions and the n+1 words come out in linear exact work.
+
+        A breakpoint frac(lo - j*alpha) or frac(hi - j*alpha) is the integer
+        pair (a, b) of (a + b*sqrt(d))/C, C alpha's denominator.  The order
+        key floor(S*(a + b*sqrt(d))) is exact: distinct points differ by
+        1/(|da| + |db|*sqrt(d)) > 1/S or more, as |da^2 - d*db^2| >= 1.
+        """
         if n < 1:
             raise ValueError("n >= 1")
-        lo, hi = self._i1
+        d, c, step_a, step_b = self.alpha.d, self.alpha.C, self.alpha.A, self.alpha.B
+        lo, hi = self._i1  # both over the denominator c
         tags = {}
-        for j in range(n):
-            sh = j * self.alpha
+        for bound, val in ((lo, 1), (hi, 0)):
             # just right of frac(lo - j a) the j-th symbol becomes 1; just
             # right of frac(hi - j a) it becomes 0
-            tags.setdefault((lo - sh).frac(), []).append((j, 1))
-            tags.setdefault((hi - sh).frac(), []).append((j, 0))
-        pts = sorted(tags)
-        word = [self.symbol_at(pts[0], j) for j in range(n)]
-        words = {tuple(word)}
-        for x in pts[1:]:
+            a, b = bound.A * (c // bound.C), bound.B * (c // bound.C)
+            for j in range(n):
+                fa = a - c * floor_surd(a, b, d, c)
+                tags.setdefault((fa, b), []).append((j, val))
+                a, b = a - step_a, b - step_b
+        scale = 2 * c + 4 * max(abs(b) for _, b in tags) * (math.isqrt(d) + 1)
+        pts = sorted(tags, key=lambda ab: floor_surd(scale * ab[0], scale * ab[1], d, 1))
+        word = list(self.point(as_qr(0, d)).block(0, n))  # phase 0 = pts[0]
+        words = set()
+        for x in pts:
             for j, val in tags[x]:
                 word[j] = val
             words.add(tuple(word))

@@ -2,8 +2,9 @@ import json
 import math
 import os
 
-
+from suspshift import cli
 from suspshift.cli import main
+from suspshift.subshifts import GeneratedSubshift
 
 
 GOLDEN = {"kind": "sft", "alphabet_size": 2, "forbidden": ["11"]}
@@ -137,6 +138,33 @@ def test_kac_check_unreachable_section_emits_error_json(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert err["error"] == "NotHit"
+
+
+def test_ocap_cylinder_past_the_sampled_orbit_emits_error_json(tmp_path, capsys):
+    # each orbit is sampled 20 symbols past the horizon, so a 25-symbol
+    # cylinder read near the horizon leaves the sample
+    cfg = {"system": FULL2,
+           "parameters": {"cylinders": ["0" * 25], "horizon": 50, "samples": 1,
+                          "period_max": 2}}
+    code, out = run_cli(tmp_path, "ocap", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"] == "HorizonExceeded"
+    assert "sampled window" in err["precondition"]
+
+
+def test_depth_exceeded_emits_error_json(tmp_path, capsys, monkeypatch):
+    # no shipped command queries a generated subshift past its window, so a
+    # stand-in command does
+    def deep_query(cfg, seed, out_dir, chash):
+        GeneratedSubshift(2, lambda n: [], window=4).language(8)
+
+    monkeypatch.setitem(cli.COMMANDS, "entropy", deep_query)
+    code, out = run_cli(tmp_path, "entropy", {"system": FULL2, "parameters": {}})
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"] == "DepthExceeded"
+    assert "window 4" in err["precondition"]
 
 
 def test_induced_check(tmp_path):

@@ -6,7 +6,10 @@
 - the per-point symbol memo of `SturmianPoint.block` against fresh points;
 - the indexed `CrossSection.match_at` against a per-piece scan;
 - the edge walk of `SFT.language` against filtering all words by
-  `admissible`, including the order the words are stored in.
+  `admissible`, including the order the words are stored in;
+- the integer breakpoint walk of `Sturmian._language` against the
+  QuadraticReal walk it replaced, kept here as the reference;
+- `word_str` against the per-symbol join on any word.
 """
 
 import itertools
@@ -25,6 +28,7 @@ from suspshift.subshifts import (
     Sturmian,
     full_shift,
     golden_mean_sft,
+    word_str,
 )
 from suspshift.suspension import CrossSection
 
@@ -237,3 +241,81 @@ def test_language_walk_equals_filter(name):
         # same words inserted in the same (lexicographic) order: downstream
         # float sums over the language see the same iteration order
         assert list(got) == list(frozenset(sorted(want)))
+
+
+# ---------------------------------------------------------------------------
+# Sturmian language by the integer breakpoint walk
+
+
+def reference_language(st_: Sturmian, n: int) -> frozenset:
+    """The breakpoint walk with QuadraticReal points, as it was before the
+    integer form: tags keyed on the points, sorted by QuadraticReal order."""
+    lo, hi = st_._i1
+    tags = {}
+    for j in range(n):
+        sh = j * st_.alpha
+        tags.setdefault((lo - sh).frac(), []).append((j, 1))
+        tags.setdefault((hi - sh).frac(), []).append((j, 0))
+    pts = sorted(tags)
+    word = [st_.symbol_at(pts[0], j) for j in range(n)]
+    words = {tuple(word)}
+    for x in pts[1:]:
+        for j, val in tags[x]:
+            word[j] = val
+        words.add(tuple(word))
+    return frozenset(words)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_integer_language_walk_equals_reference(case):
+    st_ = SYSTEMS[case]
+    for n in [*range(1, 61), 420]:
+        got, want = st_._language(n), reference_language(st_, n)
+        assert len(got) == n + 1  # Sturmian complexity
+        assert got == want
+        # same words inserted in the same order
+        assert list(got) == list(want)
+
+
+def test_language_walk_does_no_quadratic_arithmetic(monkeypatch):
+    systems = [Sturmian(ANGLES[name], conv) for name, conv in CASES]
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
+                 "__ge__", "__eq__", "__hash__", "sign", "floor", "frac"):
+        monkeypatch.setattr(QuadraticReal, name, counting(name, getattr(QuadraticReal, name)))
+    # the counters see operator use and hashing
+    assert qr(1) + qr(2) < qr(4) and hash(qr(1)) == hash(1)
+    assert calls == ["__add__", "__lt__", "__hash__"]
+    calls.clear()
+    for system in systems:
+        assert len(system._language(420)) == 421
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# word_str
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.one_of(st.lists(st.integers(0, 9), max_size=500),
+                   st.lists(st.integers(0, 12), max_size=40),
+                   st.lists(st.integers(-3, 300), max_size=20)))
+def test_word_str_equals_join(w):
+    want = "".join(str(c) for c in w)
+    assert word_str(tuple(w)) == want
+    assert word_str(w) == want
+
+
+def test_word_str_edges():
+    assert word_str(()) == ""
+    assert word_str((10,)) == "10"
+    assert word_str((1, 10, 2, 255, 256)) == "1102255256"
+    assert word_str((0, 9)) == "09"

@@ -1,11 +1,15 @@
+import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from suspshift import instances, recode
+from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 from suspshift.quadratic import qr, sqrt_d
 from suspshift.markers import build_marker
 from suspshift.recode import (
@@ -20,7 +24,7 @@ from suspshift.recode import (
     recode_near_constant,
     recode_two_valued,
 )
-from suspshift.subshifts import SFT, Cylinder, word_str
+from suspshift.subshifts import SFT, Cylinder, Sturmian, word_str
 from suspshift.suspension import (
     Roof,
     SuspensionFlow,
@@ -122,6 +126,70 @@ class TestBalancedCode:
         ]
         assert n == len(expected)
         assert [code.unrank(i) for i in range(n)] == expected
+
+    @pytest.mark.parametrize("length", range(0, 16))
+    def test_counts_are_binomials(self, length):
+        for ones in range(length + 1):
+            assert BalancedCode(length, ones).count() == math.comb(length, ones)
+            if length >= 2 and ones >= 2:
+                code = BalancedCode(length, ones, first_last_one=True)
+                assert code.count() == math.comb(length - 2, ones - 2)
+
+    @pytest.mark.parametrize("first_last_one,max_run",
+                             [(False, None), (True, None), (True, 1), (True, 2), (True, 4)])
+    def test_rank_unrank_against_enumeration(self, first_last_one, max_run):
+        for length in range(2, 11):
+            for ones in range(2 if first_last_one else 0, length + 1):
+                code = BalancedCode(length, ones, first_last_one, max_run)
+                words = [w for w in itertools.product((0, 1), repeat=length)
+                         if sum(w) == ones
+                         and (not first_last_one or w[0] == w[-1] == 1)
+                         and (max_run is None or "0" * (max_run + 1) not in word_str(w))]
+                assert code.count() == len(words)
+                assert [code.unrank(i) for i in range(len(words))] == words
+                assert [code.rank(w) for w in words] == list(range(len(words)))
+
+    @pytest.mark.parametrize("length,ones,max_run",
+                             [(30, 12, 2), (41, 15, 3), (60, 20, 5), (60, 31, 1), (45, 9, 7)])
+    def test_table_counts_equal_recursive_reference(self, length, ones, max_run):
+        code = BalancedCode(length, ones, True, max_run)
+
+        @functools.lru_cache(maxsize=None)
+        def completions(pos, ones_left, run):
+            # the memoized recursion the table replaced, run cap always tracked
+            if ones_left < 0 or ones_left > length - pos:
+                return 0
+            if pos == length:
+                return 1
+            total = completions(pos + 1, ones_left - 1, 0) if ones_left else 0
+            if 0 < pos < length - 1 and run < max_run:
+                total += completions(pos + 1, ones_left, run + 1)
+            return total
+
+        assert code.count() == completions(0, ones, 0) > 0
+        for pos in range(length + 1):
+            for o in range(ones + 1):
+                for r in range(max_run + 1):
+                    assert code._suffix_count(pos, o, r) == completions(pos, o, r)
+
+    @pytest.mark.parametrize("first_last_one", [False, True])
+    def test_long_code_needs_no_recursion(self, first_last_one):
+        length, ones = 2400, 12
+        code = BalancedCode(length, ones, first_last_one)
+        free = 2 if first_last_one else 0
+        assert code.count() == math.comb(length - free, ones - free)
+        first = code.unrank(0)
+        last = code.unrank(code.count() - 1)
+        if first_last_one:
+            assert first == (1,) + (0,) * (length - ones) + (1,) * (ones - 1)
+            assert last == (1,) * (ones - 1) + (0,) * (length - ones) + (1,)
+        else:
+            assert first == (0,) * (length - ones) + (1,) * ones
+            assert last == (1,) * ones + (0,) * (length - ones)
+        rng = random.Random(3)
+        for _ in range(20):
+            i = rng.randrange(code.count())
+            assert code.rank(code.unrank(i)) == i
 
 
 class TestRecodeDex:
@@ -368,6 +436,110 @@ class TestFeasibleGapMarker:
         flow = SuspensionFlow(base, Roof.by_symbol([1, 2, 3]))
         with pytest.raises(PreconditionFailed, match="feasible gap spectrum"):
             find_marker_with_feasible_gaps(flow, lambda g, t: t <= 4, 3, 12)
+
+
+def exact_key(t):
+    return (t.A, t.B, t.C)
+
+
+class TestSetupWork:
+    """Deterministic work counts of the certified set-up: each exact return
+    time gets one verdict in the marker search and one candidate-pair list
+    per layout, whatever the machine's speed."""
+
+    def test_marked_binary_candidate_pairs_once_per_return_time(self, monkeypatch):
+        calls, feasible, phase = [], [], ["plan"]
+        real_pairs = recode.candidate_pairs
+        real_search = recode.find_marker_with_feasible_gaps
+        real_feasible = recode.MarkedBinaryLayout.feasible
+
+        def counting_pairs(t, *args):
+            calls.append((phase[0], exact_key(t)))
+            return real_pairs(t, *args)
+
+        def search(*args, **kwargs):
+            phase[0] = "search"
+            try:
+                return real_search(*args, **kwargs)
+            finally:
+                phase[0] = "plan"
+
+        def counting_feasible(self, t, lang_count):
+            feasible.append(exact_key(t))
+            return real_feasible(self, t, lang_count)
+
+        monkeypatch.setattr(recode, "candidate_pairs", counting_pairs)
+        monkeypatch.setattr(instances, "find_marker_with_feasible_gaps", search)
+        monkeypatch.setattr(recode.MarkedBinaryLayout, "feasible", counting_feasible)
+        rf = build_marked_binary_instance()
+        searched = [t for ph, t in calls if ph == "search"]
+        planned = [t for ph, t in calls if ph == "plan"]
+        # one verdict per distinct return time (81 feasible calls without the
+        # memo), and one candidate list per time on each layout
+        assert len(feasible) == len(set(feasible)) == 7
+        assert sorted(searched) == sorted(set(feasible))
+        assert len(planned) == len(set(planned))
+        assert set(planned) == {exact_key(a.t_return) for a in rf.atoms}
+        assert set(planned) <= set(searched)
+
+    def test_two_valued_pair_once_per_return_time(self, monkeypatch):
+        asked = []
+        real_pair = recode.TwoValuedLayout.pair
+
+        def counting_pair(self, t):
+            asked.append(exact_key(t))
+            return real_pair(self, t)
+
+        monkeypatch.setattr(recode.TwoValuedLayout, "pair", counting_pair)
+        rf = build_two_valued_instance()
+        atom_times = [exact_key(a.t_return) for a in rf.atoms]
+        searched = asked[:len(asked) - len(atom_times)]
+        assert asked[len(searched):] == atom_times  # the plan asks per atom
+        assert len(searched) == len(set(searched)) == 6  # 25 without the memo
+
+    def test_screen_window_sums_are_exact(self, monkeypatch):
+        # every time the screen hands to gap_ok is the exact roof sum of a
+        # window of its gap on the sample
+        flow = SuspensionFlow(Sturmian(sqrt_d(3) - 1), Roof.by_symbol([sqrt_d(3), 1 + sqrt_d(3) / 2]))
+        sample = recode._long_sample_word(flow.base, 6 * 60)
+        seen = []
+
+        def gap_ok(gap, t):
+            seen.append((gap, t))
+            return gap <= 3
+
+        find_marker_with_feasible_gaps(flow, gap_ok, 4, 60)
+        assert seen
+        for gap, t in seen:
+            sums = {sum((flow.roof.table[(c,)] for c in sample[i:i + gap]), qr(0))
+                    for i in range(len(sample) - gap)}
+            assert t in sums
+        assert len(seen) == len(set(seen))
+
+
+class TestSqrt7TwoValued:
+    """The two-valued instance on Sturmian(sqrt7-2) with roof sqrt7, p=1,
+    q=sqrt7, eps=delta=1/10: gaps 223 and 271, code lengths 312 and 328."""
+
+    def test_builds_within_budget_and_round_trips(self):
+        t0 = time.perf_counter()
+        flow = SuspensionFlow(Sturmian(sqrt_d(7) - 2), Roof.constant(sqrt_d(7)))
+        rf = build_two_valued_instance(flow=flow, p=qr(1), q=sqrt_d(7))
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 5.0, f"sqrt7-2 two-valued build took {elapsed:.1f}s (budget 5s)"
+        assert sorted(a.gap for a in rf.atoms) == [223, 271]
+        assert sorted(c.length for c in rf.codes.values()) == [312, 328]
+        radius = rf.certified_encode_radius(25)
+        for seed in range(50):
+            rng = random.Random(seed)
+            x = flow.base.point(qr(Fraction(rng.randrange(0, 10**6), 10**6)))
+            h = flow.roof.table[(x.block(0, 1)[0],)] * Fraction(rng.randrange(0, 100), 101)
+            window, z_height, center_base = rf.encode(make_flow_point(flow, x, h),
+                                                      radius=radius)
+            assert qr(0) <= z_height
+            word, center_idx = rf.decode(window)
+            truth = tuple(x.block(center_base - 25, center_base + 26))
+            assert tuple(word[center_idx - 25 : center_idx + 26]) == truth
 
 
 @pytest.fixture(scope="module")
