@@ -11,7 +11,7 @@ from suspshift.subshifts import word_str
 
 def main():
     rf = build_two_valued_instance()
-    print(f"marker {word_str(rf.marker.word)} gaps {sorted(rf.marker.spectrum.gap_counts)}")
+    print(f"marker {word_str(rf.marker.word)} gaps {sorted(rf.marker.gap_counts())}")
     for atom in rf.atoms:
         print(f"atom gap={atom.gap} k={atom.k} l={atom.l} "
               f"remainder={float(atom.remainder):.6f}")

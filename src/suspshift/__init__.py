@@ -32,7 +32,7 @@ from suspshift.suspension import (
     return_to_section,
     abramov_entropy,
 )
-from suspshift.markers import MarkerSet, build_marker, return_spectrum
+from suspshift.markers import MarkerSet, build_marker, return_spectrum, return_words
 from suspshift.recode import (
     BalancedCode,
     RecodedFlow,
@@ -53,7 +53,7 @@ __all__ = [
     "integrate_locally_constant",
     "Roof", "SuspensionFlow", "FlowPoint", "CrossSection", "flow",
     "make_flow_point", "return_to_section", "abramov_entropy",
-    "MarkerSet", "build_marker", "return_spectrum",
+    "MarkerSet", "build_marker", "return_spectrum", "return_words",
     "BalancedCode", "RecodedFlow", "d_gap", "recode_near_constant", "recode_marked_binary",
     "recode_two_valued",
     "GeneratorModel", "decode_name", "round_trip",

@@ -160,8 +160,9 @@ def cmd_marker(cfg, seed, out_dir, chash):
     marker = build_marker(
         system, int(p["n"]), int(p.get("max_word_len", 20)), int(p.get("depth", 100))
     )
-    files = [_write_json(out_dir, "marker.json", marker.certificate())]
-    rows = [(g, c) for g, c in sorted(marker.spectrum.gap_counts.items())]
+    cert = marker.certificate()
+    files = [_write_json(out_dir, "marker.json", cert)]
+    rows = list(cert["gap_counts"].items())
     files.append(_write_csv(out_dir, "marker_gaps.csv", ("gap", "count"), rows, chash))
     return files
 

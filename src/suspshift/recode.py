@@ -20,16 +20,13 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
-from suspshift.markers import MarkerSet, occurrence_starts, return_spectrum, verify_coverage
-from suspshift.quadratic import QuadraticReal, _make, as_qr, rationally_independent
+from suspshift.markers import MarkerSet, find_marker, kmp_failure, kmp_step, occurrence_starts
+from suspshift.quadratic import QuadraticReal, as_qr, rationally_independent
 from suspshift.subshifts import (
     Cylinder,
     GeneratedSubshift,
     PointOracle,
-    Sturmian,
-    Subshift,
     Word,
     topological_entropy,
     word_str,
@@ -267,10 +264,10 @@ def build_atoms(flow: SuspensionFlow, marker: MarkerSet, n: int):
     base, roof = flow.base, flow.roof
     m = roof.m
     lw = len(marker.word)
-    if n < marker.spectrum.max_gap + lw:
+    if n < marker.max_gap + lw:
         raise PreconditionFailed(
             f"coding window n={n} must reach past the largest marker gap "
-            f"({marker.spectrum.max_gap}+{lw})"
+            f"({marker.max_gap}+{lw})"
         )
     if marker.scan_depth < n + 2 * m:
         raise PreconditionFailed(
@@ -282,12 +279,8 @@ def build_atoms(flow: SuspensionFlow, marker: MarkerSet, n: int):
         # coordinates: key[i] is base coordinate i - m
         if w[m : m + lw] != marker.word:
             continue
-        rest = word_str(w[m + 1 :])
-        pos = rest.find(marker_s)
-        if pos == -1:
-            continue  # next occurrence out of window: excluded by n choice
-        gap = pos + 1
-        if gap + lw > n:
+        gap = word_str(w[m + 1 :]).find(marker_s) + 1
+        if not 0 < gap <= n - lw:
             raise PreconditionFailed("marker gap escapes the coding window")
         col_bounds = [as_qr(0)]
         for i in range(gap):
@@ -376,15 +369,8 @@ class AtomAutomaton:
 
         None means unbounded (an avoiding cycle exists).
         """
-        fail = _kmp_failure(pattern)
+        fail = kmp_failure(pattern)
         plen = len(pattern)
-
-        def kmp_step(state, sym):
-            while state and (state == plen or pattern[state] != sym):
-                state = fail[state - 1]
-            if pattern[state] == sym:
-                state += 1
-            return state
 
         # graph nodes: (atom, pos, kmp state), edges emit one symbol; drop
         # edges that complete the pattern
@@ -396,7 +382,7 @@ class AtomAutomaton:
         for (ai, pos, st) in nodes:
             emission = self.atoms[ai].emission
             sym = emission[pos]
-            st2 = kmp_step(st, sym)
+            st2 = kmp_step(pattern, fail, st, sym)
             if st2 == plen:
                 continue  # pattern completed: this edge leaves the avoid-graph
             if pos + 1 < len(emission):
@@ -429,18 +415,6 @@ class AtomAutomaton:
                     color[u] = 2
                     stack.pop()
         return max(depth.values(), default=0)
-
-
-def _kmp_failure(pattern: Word):
-    fail = [0] * len(pattern)
-    k = 0
-    for i in range(1, len(pattern)):
-        while k and pattern[k] != pattern[i]:
-            k = fail[k - 1]
-        if pattern[k] == pattern[i]:
-            k += 1
-        fail[i] = k
-    return fail
 
 
 class ChainPoint(PointOracle):
@@ -563,7 +537,7 @@ class RecodedFlow:
         """Exact (class, time) pairs for `count` consecutive section returns
         along the orbit over `oracle`, beginning at the first marker hit at
         or after base coordinate `start`."""
-        reach = self.marker.spectrum.max_gap + len(self.marker.word) + 1
+        reach = self.marker.max_gap + len(self.marker.word) + 1
         starts = self.marker_starts(oracle, start, start + reach)
         if not starts:
             raise PreconditionFailed("marker not found within its certified gap")
@@ -594,7 +568,7 @@ class RecodedFlow:
         """Map a flow point of the source suspension to (Z-window of the
         given radius, height above the current piece); exact."""
         oracle, i0, h = flow_point.oracle, flow_point.index, flow_point.height
-        reach = self.marker.spectrum.max_gap + len(self.marker.word) + 1
+        reach = self.marker.max_gap + len(self.marker.word) + 1
         starts = self.marker_starts(oracle, i0 - reach, i0 + 1)
         starts = [s for s in starts if s <= i0]
         if not starts:
@@ -734,7 +708,7 @@ def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None,
     window n (default: just past the largest marker gap)."""
     layout.check_flow(flow)
     if n is None:
-        n = marker.spectrum.max_gap + len(marker.word)
+        n = marker.max_gap + len(marker.word)
     atoms = build_atoms(flow, marker, n)
     n_words = sorted(flow.base.language(n))
     layout.plan(atoms, len(n_words))
@@ -1049,87 +1023,29 @@ def recode_near_constant(flow: SuspensionFlow, marker: MarkerSet, epsilon,
 
 
 def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: int,
-                                   depth: int, sample_len: int | None = None) -> MarkerSet:
+                                   depth: int) -> MarkerSet:
     """Search marker words (increasing length, lexicographic) whose every
-    marker atom satisfies gap_ok(gap, exact_return_time).
-
-    Candidates are screened on one long sampled text, by the return time of
-    the first sampled window of each gap; a candidate that passes is
-    certified by the exhaustive scans and by gap_ok on every atom of
-    build_atoms at the coding window just past its largest gap.  Needs a
-    window-0 roof.
-
-    gap_ok is asked once per distinct (gap, exact return time) in a call:
-    screen and certificate share a memo keyed on the time's unique integer
-    form (A, B, C), which dies with the call.  Sampled window sums are
-    differences of one integer prefix-sum pass over the sample's roofs.
-    """
-    base, roof = flow.base, flow.roof
-    if roof.m != 0:
+    marker atom satisfies gap_ok(gap, exact_return_time).  Needs a window-0
+    roof: an atom's return time is then the roof sum of its return word, so a
+    candidate's exact return words give every atom's (gap, time), asked
+    shortest first until one fails.  gap_ok is asked once per distinct
+    (gap, time) in a call, memoised on the time's unique integer form."""
+    if flow.roof.m != 0:
         raise PreconditionFailed("gap-driven marker search needs a window-0 roof")
-    if sample_len is None:
-        sample_len = 6 * depth
-    sample = _long_sample_word(base, sample_len)
-    text = word_str(sample)
-    den = math.lcm(*(v.C for v in roof.table.values()))
-    d = next((v.d for v in roof.table.values() if v.B), 2)
-    table = {w[0]: v for w, v in roof.table.items()}
-    # the roof sum over sample[:i] is (xs[i] + ys[i]*sqrt(d))/den
-    xs = list(accumulate((table[c].A * (den // table[c].C) for c in sample), initial=0))
-    ys = list(accumulate((table[c].B * (den // table[c].C) for c in sample), initial=0))
+    table = {w[0]: v for w, v in flow.roof.table.items()}
     verdicts = {}
 
-    def verdict(gap, t):
-        key = (gap, t.A, t.B, t.C)
+    def feasible(r):
+        t = sum((v * r.count(c) for c, v in table.items()), as_qr(0))
+        key = (len(r), t.A, t.B, t.C)
         if key not in verdicts:
-            verdicts[key] = gap_ok(gap, t)
+            verdicts[key] = gap_ok(len(r), t)
         return verdicts[key]
 
-    def screened(word):
-        starts = occurrence_starts(text, word_str(word))
-        first = {}
-        for i, j in zip(starts, starts[1:]):
-            first.setdefault(j - i, i)
-        return len(starts) >= 3 and all(
-            verdict(g, _make(xs[i + g] - xs[i], ys[i + g] - ys[i], den, d))
-            for g, i in first.items()
+    marker = find_marker(flow.base, lambda returns: all(map(feasible, returns)),
+                         max_word_len, depth)
+    if marker is None:
+        raise PreconditionFailed(
+            f"no marker with a feasible gap spectrum up to length {max_word_len}"
         )
-
-    for length in range(1, max_word_len + 1):
-        for w in sorted(base.language(length)):
-            if not screened(w):
-                continue
-            spec = return_spectrum(base, w, depth)
-            if spec.max_gap is None or not spec.min_is_exact:
-                continue
-            marker = MarkerSet(
-                word=w,
-                n=spec.min_return,
-                min_return=spec.min_return,
-                coverage_k=spec.first_start_max,
-                scan_depth=depth,
-                spectrum=spec,
-            )
-            atoms = build_atoms(flow, marker, spec.max_gap + len(w))
-            if not all(verdict(a.gap, a.t_return) for a in atoms):
-                continue
-            if verify_coverage(base, w, spec.first_start_max):
-                return marker
-    raise PreconditionFailed(
-        f"no marker with a feasible gap spectrum up to length {max_word_len}"
-    )
-
-
-def _long_sample_word(base: Subshift, length: int):
-    if isinstance(base, Sturmian):
-        return base.point(as_qr(0, base.alpha.d)).block(0, length)
-    # fall back to stitching admissible words via right extendability
-    word = list(sorted(base.language(min(length, 24)))[0])
-    while len(word) < length:
-        for c in range(base.alphabet_size):
-            if base.admissible(tuple(word[-24:]) + (c,)):
-                word.append(c)
-                break
-        else:
-            raise PreconditionFailed("could not extend a sample word")
-    return tuple(word[:length])
+    return marker

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from suspshift.quadratic import QuadraticReal, as_qr, floor_surd
+from suspshift.quadratic import QuadraticReal, _make, as_qr, floor_surd, sign_surd
 
 Word = tuple  # tuple of ints
 
@@ -132,6 +132,7 @@ class SturmianPoint(PointOracle):
 
 class Subshift:
     alphabet_size: int
+    walk_root = ()  # the `walk_step` state of the empty word
 
     def admissible(self, word: Word) -> bool:
         raise NotImplementedError
@@ -148,6 +149,13 @@ class Subshift:
     def periodic_points(self, n: int) -> list:
         """Fixed points of sigma^n, as PointOracles."""
         raise NotImplementedError
+
+    def walk_step(self, state):
+        """(symbol, state) for each admissible one-symbol right extension of
+        the word in `state`.  A state fixes which extensions follow; by
+        default it is the word itself."""
+        return [(c, state + (c,)) for c in range(self.alphabet_size)
+                if self.admissible(state + (c,))]
 
     def entropy_exact(self):
         return None
@@ -281,6 +289,14 @@ class SFT(Subshift):
             blocks[i + 1] in self.edges[blocks[i]] for i in range(len(blocks) - 1)
         )
 
+    def walk_step(self, state):
+        """The state is the word's last `memory` symbols: a vertex of the
+        essential graph once the word is that long."""
+        if len(state) == self.memory:
+            return [(v[-1], v) for v in self.edges[state]]
+        return [(c, state + (c,)) for c in range(self.alphabet_size)
+                if state + (c,) in self._vertex_factors]
+
     def _language(self, n: int) -> frozenset:
         """Walk the essential vertex graph: a word of length n >= memory is
         admissible iff its memory-blocks form a path, so each level extends
@@ -409,6 +425,7 @@ class Sturmian(Subshift):
     """
 
     alphabet_size = 2
+    walk_root = (0, None)
 
     def __init__(self, alpha: QuadraticReal, convention: str = "low"):
         alpha = as_qr(alpha)
@@ -420,14 +437,14 @@ class Sturmian(Subshift):
             raise ValueError("convention must be 'low' or 'high'")
         self.alpha = alpha
         self.convention = convention
-        one = as_qr(1, alpha.d)
-        if convention == "low":
-            self._i1 = (as_qr(0, alpha.d), alpha)  # [0, alpha)
-        else:
-            self._i1 = (one - alpha, one)  # [1-alpha, 1)
         # the symbol at i is floor(x_{j+1}) - floor(x_j), x_j = phase + j*alpha,
         # with j = i - 1 (low) or j = i (high)
         self._lag = 1 if convention == "low" else 0
+        # the phases coded 1 at coordinate 0 are [s, s + alpha) mod 1, with
+        # s = 0 (low) or 1 - alpha (high) as the integer pair (a, b) of
+        # (a + b*sqrt(d))/C over alpha's denominator C
+        self._start = (0, 0) if convention == "low" else (alpha.C - alpha.A, -alpha.B)
+        self._cuts = {}  # j -> frac(s - j*alpha) as an integer pair, once per j
 
     def symbol_at(self, phase: QuadraticReal, i: int) -> int:
         alpha = self.alpha
@@ -462,12 +479,11 @@ class Sturmian(Subshift):
         if n < 1:
             raise ValueError("n >= 1")
         d, c, step_a, step_b = self.alpha.d, self.alpha.C, self.alpha.A, self.alpha.B
-        lo, hi = self._i1  # both over the denominator c
         tags = {}
-        for bound, val in ((lo, 1), (hi, 0)):
-            # just right of frac(lo - j a) the j-th symbol becomes 1; just
-            # right of frac(hi - j a) it becomes 0
-            a, b = bound.A * (c // bound.C), bound.B * (c // bound.C)
+        sa, sb = self._start
+        for val, a, b in ((1, sa, sb), (0, sa + step_a, sb + step_b)):
+            # just right of frac(s - j a) the j-th symbol becomes 1; just
+            # right of frac(s + a - j a) it becomes 0
             for j in range(n):
                 fa = a - c * floor_surd(a, b, d, c)
                 tags.setdefault((fa, b), []).append((j, val))
@@ -482,36 +498,67 @@ class Sturmian(Subshift):
             words.add(tuple(word))
         return frozenset(words)
 
+    def walk_step(self, state):
+        """The state is (next coordinate j, cylinder arc): None for the whole
+        circle, else (la, lb, ha, hb) for [lo, hi) = [(la + lb*sqrt(d))/C,
+        (ha + hb*sqrt(d))/C), lo in [0, 1), hi - lo < 1.  The phases coded 1
+        at j are [p, p + alpha) mod 1, p = frac(s - j*alpha), and p + alpha is
+        where those coded 1 at j - 1 start, never inside a later arc; so p
+        splits an arc into a 0 and a 1 part or leaves it in one of them."""
+        j, arc = state
+        d, C, A, B = self.alpha.d, self.alpha.C, self.alpha.A, self.alpha.B
+        if j not in self._cuts:
+            pa, pb = self._start[0] - j * A, self._start[1] - j * B
+            self._cuts[j] = (pa - C * floor_surd(pa, pb, d, C), pb)
+        pa, pb = self._cuts[j]
+        if arc is None:  # [p + alpha, p + 1) codes 0 and [p, p + alpha) codes 1
+            za, zb = pa + A, pb + B
+            zero = (za - C, zb, pa, pb) if sign_surd(za - C, zb, d) >= 0 else (za, zb, pa + C, pb)
+            return [(0, (j + 1, zero)), (1, (j + 1, (pa, pb, za, zb)))]
+        la, lb, ha, hb = arc
+        lifted = sign_surd(pa - la, pb - lb, d) <= 0
+        if lifted:  # the lift of p in (lo, lo + 1]
+            pa += C
+        if sign_surd(ha - pa, hb - pb, d) > 0:
+            one = (pa - C, pb, ha - C, hb) if lifted else (pa, pb, ha, hb)
+            return [(0, (j + 1, (la, lb, pa, pb))), (1, (j + 1, one))]
+        # lo is coded 1 iff (lo - p) mod 1 = lo - lift + 1 < alpha
+        return [(int(sign_surd(pa - C + A - la, pb + B - lb, d) > 0), (j + 1, arc))]
+
+    def _cylinder(self, word: Word, anchor: int):
+        """The arc (la, lb, ha, hb) of `word` read from coordinate `anchor`,
+        as in `walk_step` ([0, 1) for the empty word), or None."""
+        self._check_symbols(word)
+        state = (anchor, None)
+        for c in word:
+            state = dict(self.walk_step(state)).get(c)
+            if state is None:
+                return None
+        return state[1] or (0, 0, self.alpha.C, 0)
+
     def cylinder_arcs(self, word: Word, anchor: int = 0):
         """Arcs of phases whose coding matches `word` at `anchor`; exact,
         returned as a list of non-wrapping [lo, hi) pairs in [0, 1)."""
-        self._check_symbols(word)
-        one = as_qr(1, self.alpha.d)
-        zero = as_qr(0, self.alpha.d)
-        arcs = [(zero, one)]
-        lo1, hi1 = self._i1
-        for j, c in enumerate(word):
-            sh = (anchor + j) * self.alpha
-            if c == 1:
-                pieces = _arc_minus(lo1 - sh, hi1 - sh, one)
-            else:
-                pieces = _arc_minus(hi1 - sh, lo1 - sh + 1, one)
-            arcs = _arcs_intersect(arcs, pieces)
-            if not arcs:
-                return []
-        return arcs
+        arc = self._cylinder(word, anchor)
+        if arc is None:
+            return []
+        (la, lb, ha, hb), d, C = arc, self.alpha.d, self.alpha.C
+        lo = _make(la, lb, C, d)
+        if sign_surd(ha - C, hb, d) <= 0:
+            return [(lo, _make(ha, hb, C, d))]
+        return [(lo, as_qr(1, d)), (as_qr(0, d), _make(ha - C, hb, C, d))]
 
     def cylinder_measure(self, word: Word, anchor: int = 0) -> QuadraticReal:
         """Mass of the cylinder under the unique invariant measure = total
         arc length (Lebesgue on the circle), exact."""
-        arcs = self.cylinder_arcs(word, anchor)
-        total = as_qr(0, self.alpha.d)
-        for lo, hi in arcs:
-            total = total + (hi - lo)
-        return total
+        arc = self._cylinder(word, anchor)
+        if arc is None:
+            return as_qr(0, self.alpha.d)
+        la, lb, ha, hb = arc
+        return _make(ha - la, hb - lb, self.alpha.C, self.alpha.d)
 
     def admissible(self, word: Word) -> bool:
-        return len(word) == 0 or bool(self.cylinder_arcs(word))
+        return self._cylinder(word, 0) is not None
 
     def periodic_points(self, n: int) -> list:
         return []  # irrational rotation codings are aperiodic
@@ -522,29 +569,6 @@ class Sturmian(Subshift):
             "alpha": self.alpha.to_json(),
             "convention": self.convention,
         }
-
-
-def _arc_minus(lo: QuadraticReal, hi: QuadraticReal, one: QuadraticReal):
-    """Normalize the arc [lo, hi) with 0 < hi - lo <= 1 to non-wrapping
-    pieces in [0, 1)."""
-    width = hi - lo
-    zero = one - one
-    s = lo.frac()
-    e = s + width
-    if e <= one:
-        return [(s, e)]
-    return [(s, one), (zero, e - one)]
-
-
-def _arcs_intersect(a, b):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo = lo1 if lo1 >= lo2 else lo2
-            hi = hi1 if hi1 <= hi2 else hi2
-            if lo < hi:
-                out.append((lo, hi))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from suspshift.suspension import (
     sample_sft_orbit,
     time_delta_tower_entropy,
 )
-from suspshift.markers import NoMarkerFound, build_marker, verify_coverage, verify_disjointness
+from suspshift.markers import NoMarkerFound, build_marker, return_spectrum, verify_coverage
 from suspshift.recode import BalancedCode
 from suspshift.generator import round_trip
 from suspshift.periodic import PeriodicCensus, global_periodic_growth
@@ -261,7 +261,9 @@ def test_criterion_10_marker_certificates():
         st = Sturmian(sqrt_d(2) - 1)
         marker = build_marker(st, n=5, max_word_len=20, depth=100)
         assert marker.min_return >= 5
-        assert verify_disjointness(st, marker.word, 5, 100)
+        # n-separation: no word of language(100) holds two occurrences of
+        # the marker closer than n = 5
+        assert min(return_spectrum(st, marker.word, 100).gap_counts) >= 5
         assert verify_coverage(st, marker.word, marker.coverage_k)
         with pytest.raises(NoMarkerFound) as err:
             build_marker(full_shift(2), n=3, max_word_len=6, depth=30)

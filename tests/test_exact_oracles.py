@@ -249,8 +249,10 @@ def test_language_walk_equals_filter(name):
 
 def reference_language(st_: Sturmian, n: int) -> frozenset:
     """The breakpoint walk with QuadraticReal points, as it was before the
-    integer form: tags keyed on the points, sorted by QuadraticReal order."""
-    lo, hi = st_._i1
+    integer form: tags keyed on the points, sorted by QuadraticReal order.
+    Symbol 1 codes [lo, hi): [0, alpha) (low) or [1 - alpha, 1) (high)."""
+    zero, one = qr(0), qr(1)
+    lo, hi = (zero, st_.alpha) if st_.convention == "low" else (one - st_.alpha, one)
     tags = {}
     for j in range(n):
         sh = j * st_.alpha

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suspshift import instances, recode
+from suspshift import instances, markers, recode
 from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 from suspshift.quadratic import qr, sqrt_d
-from suspshift.markers import build_marker
+from suspshift.markers import build_marker, return_spectrum
 from suspshift.recode import (
     BalancedCode,
     CapacityExceeded,
@@ -321,7 +321,7 @@ class TestRecodeDex:
 
         flow = two_valued_model.flow
         section = two_valued_model.section()
-        depth = 2 * two_valued_model.n + two_valued_model.marker.spectrum.max_gap
+        depth = 2 * two_valued_model.n + two_valued_model.marker.max_gap
         cert = certify_global_section(flow, section, depth)
         assert cert is not None
         # a section over [1] on the golden-mean flow is escaped by 0^depth
@@ -429,9 +429,10 @@ class TestRecodeDep:
 
 class TestFeasibleGapMarker:
     def test_certificate_reads_every_atom(self):
-        # the sample is 0202...: it shows only the atom 202 (return time 4) of
-        # the marker [2], never 212 (return time 5); 2 is followed by 0 or 1
-        # freely, so longer words have unbounded gaps
+        # the marker [2] has the return words 20 (return time 4) and 21
+        # (return time 5), and 21 is infeasible; 2 is followed by 0 or 1
+        # freely, so every other word has a 2-1-2 cycle free of it and
+        # unbounded returns
         base = SFT(3, adjacency=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         flow = SuspensionFlow(base, Roof.by_symbol([1, 2, 3]))
         with pytest.raises(PreconditionFailed, match="feasible gap spectrum"):
@@ -474,9 +475,9 @@ class TestSetupWork:
         rf = build_marked_binary_instance()
         searched = [t for ph, t in calls if ph == "search"]
         planned = [t for ph, t in calls if ph == "plan"]
-        # one verdict per distinct return time (81 feasible calls without the
+        # one verdict per distinct return time (79 feasible calls without the
         # memo), and one candidate list per time on each layout
-        assert len(feasible) == len(set(feasible)) == 7
+        assert len(feasible) == len(set(feasible)) == 6
         assert sorted(searched) == sorted(set(feasible))
         assert len(planned) == len(set(planned))
         assert set(planned) == {exact_key(a.t_return) for a in rf.atoms}
@@ -495,26 +496,61 @@ class TestSetupWork:
         atom_times = [exact_key(a.t_return) for a in rf.atoms]
         searched = asked[:len(asked) - len(atom_times)]
         assert asked[len(searched):] == atom_times  # the plan asks per atom
-        assert len(searched) == len(set(searched)) == 6  # 25 without the memo
+        assert len(searched) == len(set(searched)) == 5  # 21 without the memo
 
-    def test_screen_window_sums_are_exact(self, monkeypatch):
-        # every time the screen hands to gap_ok is the exact roof sum of a
-        # window of its gap on the sample
+    def test_verdict_times_are_return_word_sums(self, monkeypatch):
+        # every time the search hands to gap_ok is the exact roof sum of one
+        # of the candidate's return words, whose length is the gap
         flow = SuspensionFlow(Sturmian(sqrt_d(3) - 1), Roof.by_symbol([sqrt_d(3), 1 + sqrt_d(3) / 2]))
-        sample = recode._long_sample_word(flow.base, 6 * 60)
-        seen = []
+        seen, candidates = [], []
+        real_return_words = markers.return_words
+
+        def recording_return_words(*args):
+            candidates.append(real_return_words(*args))
+            return candidates[-1]
 
         def gap_ok(gap, t):
             seen.append((gap, t))
             return gap <= 3
 
+        monkeypatch.setattr(markers, "return_words", recording_return_words)
         find_marker_with_feasible_gaps(flow, gap_ok, 4, 60)
         assert seen
+        sums = {(len(r), sum((flow.roof.table[(c,)] for c in r), qr(0)))
+                for returns in candidates if returns is not None for r in returns}
         for gap, t in seen:
-            sums = {sum((flow.roof.table[(c,)] for c in sample[i:i + gap]), qr(0))
-                    for i in range(len(sample) - gap)}
-            assert t in sums
+            assert (gap, t) in sums
         assert len(seen) == len(set(seen))
+
+    def test_setup_needs_no_depth_scan(self, monkeypatch):
+        # set-up reads exact return words: no return_spectrum and no language
+        # at the certificate depth; the certificate's gap counts are computed
+        # when it is written and equal the depth-420 scan
+        lengths = []
+        real_language = Sturmian.language
+
+        def recording_language(self, n):
+            lengths.append(n)
+            return real_language(self, n)
+
+        def no_spectrum(*args):
+            raise AssertionError("return_spectrum called during set-up")
+
+        monkeypatch.setattr(Sturmian, "language", recording_language)
+        monkeypatch.setattr(markers, "return_spectrum", no_spectrum)
+        built = [build_two_valued_instance(), build_marked_binary_instance()]
+        assert lengths and max(lengths) < 420
+        monkeypatch.undo()
+        for rf in built:
+            spec = return_spectrum(rf.flow.base, rf.marker.word, 420)
+            assert rf.to_json()["marker"] == {
+                "word": word_str(rf.marker.word),
+                "separation_n": spec.min_return,
+                "min_return": spec.min_return,
+                "coverage_k": spec.first_start_max,
+                "scan_depth": 420,
+                "gap_counts": {str(g): c for g, c in sorted(spec.gap_counts.items())},
+            }
 
 
 class TestSqrt7TwoValued:

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suspshift.quadratic import qr, sqrt_d
+from suspshift.quadratic import as_qr, qr, sqrt_d
 from suspshift.subshifts import (
     Cylinder,
     DepthExceeded,
@@ -151,6 +152,47 @@ class TestSturmian:
             math.log(5) / 4
         )
         assert topological_entropy(sturmian, horizon=32) < 0.12
+
+
+def qr_cylinder_arcs(st, word, anchor=0):
+    """Cylinder arcs by QuadraticReal arc intersection, symbol by symbol:
+    the reference the integer walk of `Sturmian.cylinder_arcs` must equal."""
+    zero, one = as_qr(0, st.alpha.d), as_qr(1, st.alpha.d)
+    lo1, hi1 = (zero, st.alpha) if st.convention == "low" else (one - st.alpha, one)
+
+    def normalized(lo, hi):
+        s = lo.frac()
+        e = s + (hi - lo)
+        return [(s, e)] if e <= one else [(s, one), (zero, e - one)]
+
+    arcs = [(zero, one)]
+    for j, c in enumerate(word):
+        sh = (anchor + j) * st.alpha
+        pieces = normalized(lo1 - sh, hi1 - sh) if c == 1 else normalized(hi1 - sh, lo1 - sh + 1)
+        arcs = [(max(a0, b0), min(a1, b1)) for a0, a1 in arcs for b0, b1 in pieces
+                if max(a0, b0) < min(a1, b1)]
+    return arcs
+
+
+class TestIntegerArcs:
+    @pytest.mark.parametrize("convention", ["low", "high"])
+    @pytest.mark.parametrize("angle", [sqrt_d(2) - 1, sqrt_d(3) - 1, (sqrt_d(5) - 1) / 2,
+                                       sqrt_d(7) - 2],
+                             ids=["sqrt2-1", "sqrt3-1", "golden", "sqrt7-2"])
+    def test_arcs_and_masses_match_quadratic_arcs(self, angle, convention):
+        st = Sturmian(angle, convention)
+        rng = random.Random(7)
+        for n in range(1, 31):
+            words = sorted(st.language(n))
+            draws = {tuple(rng.randrange(2) for _ in range(n)) for _ in range(10)}
+            strays = sorted(draws - st.language(n))[:3]
+            for w in words + strays:
+                anchors = (0, rng.randrange(-40, 40)) if n % 10 == 0 else (0,)
+                for anchor in anchors:
+                    ref = qr_cylinder_arcs(st, w, anchor)
+                    assert st.cylinder_arcs(w, anchor) == ref
+                    assert st.cylinder_measure(w, anchor) == sum((hi - lo for lo, hi in ref), qr(0))
+                assert st.admissible(w) == (w in words)
 
 
 class TestProductAndGenerated:
