@@ -16,7 +16,7 @@ def main():
     exact = golden.entropy_exact()
     print("n,golden_estimate,golden_exact,sturmian_estimate")
     for n in (2, 4, 8, 12, 16, 20, 24, 28, 32):
-        g = math.log(len(golden.language(n))) / n
+        g = math.log(golden.count(n)) / n
         s = topological_entropy(sturmian, horizon=n)
         print(f"{n},{g:.6f},{exact:.6f},{s:.6f}")
 

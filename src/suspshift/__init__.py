@@ -6,7 +6,6 @@ from suspshift.subshifts import (
     SFT,
     Sturmian,
     ProductSubshift,
-    GeneratedSubshift,
     full_shift,
     golden_mean_sft,
     topological_entropy,
@@ -46,7 +45,7 @@ from suspshift.periodic import PeriodicCensus, global_periodic_growth
 
 __all__ = [
     "QuadraticReal", "qr", "sqrt_d", "rationally_independent",
-    "Cylinder", "SFT", "Sturmian", "ProductSubshift", "GeneratedSubshift",
+    "Cylinder", "SFT", "Sturmian", "ProductSubshift",
     "full_shift", "golden_mean_sft", "topological_entropy",
     "MarkovMeasure", "EmpiricalMeasure", "SturmianMeasure", "DMetricConfig",
     "bernoulli", "parry_measure", "block_entropy", "d_distance",

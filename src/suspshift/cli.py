@@ -20,7 +20,6 @@ from fractions import Fraction
 from suspshift.quadratic import QuadraticReal, qr
 from suspshift.subshifts import (
     Cylinder,
-    DepthExceeded,
     parse_word,
     subshift_from_json,
     word_str,
@@ -50,16 +49,10 @@ from suspshift.suspension import (
     CrossSection,
 )
 from suspshift.markers import NoMarkerFound, build_marker
-from suspshift.recode import (
-    CapacityExceeded,
-    InfeasibleSchedule,
-    PreconditionFailed,
-    recode_marked_binary,
-    recode_two_valued,
-)
+from suspshift.recode import CapacityExceeded, InfeasibleSchedule, PreconditionFailed
 from suspshift.generator import GeneratorModel, NoMarkersFound, round_trip
 from suspshift.periodic import PeriodicCensus, global_periodic_growth, p_k
-from suspshift.instances import find_marked_binary_marker, find_two_valued_marker
+from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 
 
 ERRORS = (
@@ -70,7 +63,6 @@ ERRORS = (
     NoMarkersFound,
     NotHit,
     HorizonExceeded,
-    DepthExceeded,
     ValueError,
     KeyError,
 )
@@ -172,14 +164,10 @@ def _load_flow(cfg) -> SuspensionFlow:
 
 
 def _two_valued_from_cfg(cfg):
-    flow = _load_flow(cfg)
     p = cfg["parameters"]
-    pp, qq = _qr_param(p["p"]), _qr_param(p["q"])
-    eps = Fraction(p.get("epsilon", "1/10"))
-    delta = _qr_param(p["delta"])
-    depth = int(p.get("depth", 420))
-    marker = find_two_valued_marker(flow, pp, qq, eps, delta, depth=depth)
-    return recode_two_valued(flow, marker, pp, qq, eps, delta)
+    return build_two_valued_instance(
+        _load_flow(cfg), _qr_param(p["p"]), _qr_param(p["q"]),
+        Fraction(p.get("epsilon", "1/10")), _qr_param(p["delta"]), int(p.get("depth", 420)))
 
 
 def cmd_recode_two_valued(cfg, seed, out_dir, chash):
@@ -207,14 +195,10 @@ def cmd_recode_two_valued(cfg, seed, out_dir, chash):
 
 
 def _marked_binary_from_cfg(cfg):
-    flow = _load_flow(cfg)
     p = cfg["parameters"]
-    pp, qq = _qr_param(p["p"]), _qr_param(p["q"])
-    m_const = int(p.get("M", 2))
-    delta = _qr_param(p["delta"])
-    depth = int(p.get("depth", 420))
-    marker = find_marked_binary_marker(flow, pp, qq, m_const, delta, depth=depth)
-    return recode_marked_binary(flow, marker, pp, qq, m_const, delta)
+    return build_marked_binary_instance(
+        _load_flow(cfg), _qr_param(p["p"]), _qr_param(p["q"]), int(p.get("M", 2)),
+        _qr_param(p["delta"]), int(p.get("depth", 420)))
 
 
 def cmd_recode_marked_binary(cfg, seed, out_dir, chash):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from suspshift.subshifts import DepthExceeded, Subshift, Word, word_str
+from suspshift.subshifts import Subshift, Word, word_str
 
 
 class NoMarkerFound(Exception):
@@ -110,11 +110,9 @@ def return_words(subshift: Subshift, word: Word, depth: int, state=None):
     word, lw = tuple(word), len(word)
     fail = kmp_failure(word)
     if state is None:
-        state = subshift.walk_root
-        for c in word:
-            state = dict(subshift.walk_step(state)).get(c)
-            if state is None:
-                raise ValueError("marker word must be admissible")
+        state = subshift.walk(word, subshift.walk_root)
+        if state is None:
+            raise ValueError("marker word must be admissible")
     # depth-first, path[:n] spelling a node's branch; a cycle shows as in
     # Brent's algorithm, against the pair the branch had at length lw + 2^k
     returns, path = [], list(word)
@@ -182,7 +180,7 @@ def _periodic_witness(subshift: Subshift, n: int):
     for m in range(1, n):
         try:
             pts = subshift.periodic_points(m)
-        except (NotImplementedError, DepthExceeded):
+        except NotImplementedError:
             continue
         if pts:
             return pts[0]
@@ -198,10 +196,7 @@ def find_marker(subshift: Subshift, accept, max_word_len: int, depth: int,
     symbols after an occurrence that opens a longest gap hold none), and with
     bounded returns a longer marker-free word would extend to a point with a
     marker-free half-line, so no larger K covers either."""
-    level = [((), subshift.walk_root)]  # the words of one length, with their states
-    for _ in range(max_word_len):
-        level = sorted(((w + (c,), nxt) for w, state in level
-                        for c, nxt in subshift.walk_step(state)), key=lambda e: e[0])
+    for level in subshift.levels(max_word_len):
         for w, state in level:
             returns = return_words(subshift, w, depth, state)
             if not returns or not accept(returns):

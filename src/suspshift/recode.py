@@ -21,12 +21,19 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from suspshift.markers import MarkerSet, find_marker, kmp_failure, kmp_step, occurrence_starts
+from suspshift.markers import (
+    MarkerSet,
+    NoMarkerFound,
+    find_marker,
+    kmp_failure,
+    kmp_step,
+    occurrence_starts,
+)
 from suspshift.quadratic import QuadraticReal, as_qr, rationally_independent
 from suspshift.subshifts import (
     Cylinder,
-    GeneratedSubshift,
     PointOracle,
+    Subshift,
     Word,
     topological_entropy,
     word_str,
@@ -316,9 +323,11 @@ def atom_transitions(flow: SuspensionFlow, atoms):
     return succ
 
 
-class AtomAutomaton:
-    """Concatenation system of per-atom emissions along admissible atom
-    chains; the recoded subshift's language and orbits both come from here."""
+class AtomAutomaton(Subshift):
+    """The recoded subshift Z: the concatenations of per-atom emissions along
+    admissible atom chains.  A walk state is the frozenset of (atom index,
+    position in its emission) pairs whose symbol comes next, so the walk is
+    exact at every length."""
 
     def __init__(self, atoms, successors, alphabet_size: int):
         self.atoms = atoms
@@ -328,93 +337,51 @@ class AtomAutomaton:
             for j in outs:
                 self.predecessors[j].append(i)
         self.alphabet_size = alphabet_size
+        self.walk_root = frozenset((a.index, pos) for a in atoms
+                                   for pos in range(len(a.emission)))
 
-    def language_source(self, n: int):
-        """All length-n windows readable along atom chains."""
-        # states: (atom index, position inside its emission)
-        out = set()
-        seen = {}
-
-        def walk(state, budget):
-            key = (state, budget)
-            if key in seen:
-                return seen[key]
-            ai, pos = state
+    def walk_step(self, state):
+        nxt = {}
+        for ai, pos in state:
             emission = self.atoms[ai].emission
-            if budget == 0:
-                return {()}
-            sym = emission[pos]
+            follow = nxt.setdefault(emission[pos], set())
             if pos + 1 < len(emission):
-                nxt = [(ai, pos + 1)]
+                follow.add((ai, pos + 1))
             else:
-                nxt = [(j, 0) for j in self.successors[ai]]
-            words = set()
-            for s2 in nxt:
-                for tail in walk(s2, budget - 1):
-                    words.add((sym,) + tail)
-            seen[key] = words
-            return words
-
-        for a in self.atoms:
-            for pos in range(len(a.emission)):
-                out |= walk((a.index, pos), n)
-        return out
-
-    def subshift(self, window: int, label: str) -> GeneratedSubshift:
-        return GeneratedSubshift(self.alphabet_size, self.language_source, window, label)
+                follow.update((j, 0) for j in self.successors[ai])
+        return [(c, frozenset(nxt[c])) for c in sorted(nxt)]
 
     def longest_stretch_avoiding(self, pattern: Word) -> int | None:
         """Exact longest run of emitted symbols containing no occurrence of
-        `pattern`, via the product with the pattern's KMP automaton.
+        `pattern`: the longest path from the root in the product of the walk
+        with the pattern's KMP automaton, edges completing the pattern
+        dropped.  None means unbounded (an avoiding cycle exists)."""
+        fail, plen = kmp_failure(pattern), len(pattern)
 
-        None means unbounded (an avoiding cycle exists).
-        """
-        fail = kmp_failure(pattern)
-        plen = len(pattern)
+        def edges(node):
+            state, match = node
+            for c, nxt in self.walk_step(state):
+                m = kmp_step(pattern, fail, match, c)
+                if m < plen:
+                    yield nxt, m
 
-        # graph nodes: (atom, pos, kmp state), edges emit one symbol; drop
-        # edges that complete the pattern
-        nodes = {}
-        for a in self.atoms:
-            for pos in range(len(a.emission)):
-                for st in range(plen):
-                    nodes[(a.index, pos, st)] = []
-        for (ai, pos, st) in nodes:
-            emission = self.atoms[ai].emission
-            sym = emission[pos]
-            st2 = kmp_step(pattern, fail, st, sym)
-            if st2 == plen:
-                continue  # pattern completed: this edge leaves the avoid-graph
-            if pos + 1 < len(emission):
-                nodes[(ai, pos, st)].append((ai, pos + 1, st2))
+        # iterative depth-first search; a node met again on the path is a cycle
+        root = (self.walk_root, 0)
+        depth, on_path, stack = {}, {root}, [(root, edges(root))]
+        while stack:
+            u, out = stack[-1]
+            for v in out:
+                if v in on_path:
+                    return None
+                if v not in depth:
+                    on_path.add(v)
+                    stack.append((v, edges(v)))
+                    break
             else:
-                for j in self.successors[ai]:
-                    nodes[(ai, pos, st)].append((j, 0, st2))
-        # longest path in the avoid-graph (iterative three-color DFS; a cycle
-        # means unbounded avoiding stretches)
-        color = {}
-        depth = {}
-        for root in list(nodes):
-            if root in depth:
-                continue
-            stack = [(root, iter(nodes[root]))]
-            color[root] = 1
-            while stack:
-                u, it = stack[-1]
-                advanced = False
-                for v in it:
-                    if color.get(v) == 1:
-                        return None
-                    if v not in depth:
-                        color[v] = 1
-                        stack.append((v, iter(nodes[v])))
-                        advanced = True
-                        break
-                if not advanced:
-                    depth[u] = max((1 + depth[v] for v in nodes[u]), default=0)
-                    color[u] = 2
-                    stack.pop()
-        return max(depth.values(), default=0)
+                depth[u] = max((1 + depth[v] for v in edges(u)), default=0)
+                on_path.discard(u)
+                stack.pop()
+        return depth[root]
 
 
 class ChainPoint(PointOracle):
@@ -473,8 +440,8 @@ class ChainPoint(PointOracle):
 
 @dataclass
 class RecodedFlow:
-    """Output of a recoding construction: the generated subshift Z with its
-    roof classes, the cross-section realizing the conjugacy, and
+    """Output of a recoding construction: the recoded subshift Z (the atom
+    automaton) with its roof classes, the cross-section realizing the conjugacy, and
     finite-window encode/decode maps."""
 
     layout: object           # the construction's rules: one of the layouts below
@@ -484,7 +451,6 @@ class RecodedFlow:
     constants: dict
     atoms: list
     automaton: AtomAutomaton
-    Z: GeneratedSubshift
     n_words: list            # sorted language(n) of the base; code index space
     codes: dict              # BalancedCode arguments -> BalancedCode, in atom order
 
@@ -568,8 +534,9 @@ class RecodedFlow:
         """Map a flow point of the source suspension to (Z-window of the
         given radius, height above the current piece); exact."""
         oracle, i0, h = flow_point.oracle, flow_point.index, flow_point.height
-        reach = self.marker.max_gap + len(self.marker.word) + 1
-        starts = self.marker_starts(oracle, i0 - reach, i0 + 1)
+        lw = len(self.marker.word)
+        reach = self.marker.max_gap + lw + 1
+        starts = self.marker_starts(oracle, i0 - reach, i0 + lw)
         starts = [s for s in starts if s <= i0]
         if not starts:
             raise PreconditionFailed("no marker hit before the point")
@@ -587,7 +554,7 @@ class RecodedFlow:
         center = piece
         left = j0
         while center < radius:
-            prev = self.marker_starts(oracle, left - reach, left)
+            prev = self.marker_starts(oracle, left - reach, left + lw - 1)
             prev = [s for s in prev if s < left]
             if not prev:
                 raise PreconditionFailed("marker chain broke on the left")
@@ -702,8 +669,7 @@ class RecodedFlow:
 # the recoding core
 
 
-def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None,
-            z_window: int) -> RecodedFlow:
+def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None) -> RecodedFlow:
     """Build the recoded flow of `layout` over the marker atoms at coding
     window n (default: just past the largest marker gap)."""
     layout.check_flow(flow)
@@ -725,8 +691,7 @@ def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None,
     automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), layout.alphabet_size)
     return RecodedFlow(
         layout=layout, flow=flow, marker=marker, n=n, constants=layout.constants(n),
-        atoms=atoms, automaton=automaton, Z=automaton.subshift(z_window, layout.kind),
-        n_words=n_words, codes=codes,
+        atoms=atoms, automaton=automaton, n_words=n_words, codes=codes,
     )
 
 
@@ -994,28 +959,26 @@ class NearConstantLayout:
 
 
 def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, p, q, epsilon, delta,
-               n: int | None = None, z_window: int = 64) -> RecodedFlow:
+               n: int | None = None) -> RecodedFlow:
     """Return times exactly p, exactly q, or in (0, delta)."""
-    return _recode(flow, marker, TwoValuedLayout(p, q, epsilon, delta), n, z_window)
+    return _recode(flow, marker, TwoValuedLayout(p, q, epsilon, delta), n)
 
 
 def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, p, q, M: int, delta,
-               n: int | None = None, K: int | None = None, k_max: int = 8,
-               z_window: int = 64) -> RecodedFlow:
+               n: int | None = None, K: int | None = None, k_max: int = 8) -> RecodedFlow:
     """Return times exactly p or in (q, q + delta), at the given K or the
     first K in 2..k_max that schedules every atom."""
     ks = [K] if K is not None else range(2, k_max + 1)
-    return _recode(flow, marker, MarkedBinaryLayout(p, q, M, delta, ks), n, z_window)
+    return _recode(flow, marker, MarkedBinaryLayout(p, q, M, delta, ks), n)
 
 
 def recode_near_constant(flow: SuspensionFlow, marker: MarkerSet, epsilon,
-               h_top: float | None = None, target_a=None, n: int | None = None,
-               z_window: int = 40) -> RecodedFlow:
+               h_top: float | None = None, target_a=None, n: int | None = None) -> RecodedFlow:
     """Cross-section with all return times within 2*epsilon of the target
     a = log 2 / h_top + epsilon (or the supplied target for zero-entropy
     bases), stepped through the numerical semigroup of [Na], [Na]+1 over the
     denominator N > 3/epsilon; Z is the itinerary system."""
-    return _recode(flow, marker, NearConstantLayout(epsilon, h_top, target_a), n, z_window)
+    return _recode(flow, marker, NearConstantLayout(epsilon, h_top, target_a), n)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,7 +1008,5 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
     marker = find_marker(flow.base, lambda returns: all(map(feasible, returns)),
                          max_word_len, depth)
     if marker is None:
-        raise PreconditionFailed(
-            f"no marker with a feasible gap spectrum up to length {max_word_len}"
-        )
+        raise NoMarkerFound(f"no marker with a feasible gap spectrum up to length {max_word_len}")
     return marker

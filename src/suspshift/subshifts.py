@@ -1,11 +1,11 @@
 """Subshifts with exact word-admissibility oracles.
 
-Words are tuples of small nonnegative ints.  Four kinds of subshift are
+Words are tuples of small nonnegative ints.  Three kinds of subshift are
 provided: SFTs (memory-1 adjacency matrix, or a forbidden-word list compiled
 to a higher-block vertex shift), Sturmian rotation codings with exact
-quadratic-irrational arithmetic, window-limited generated subshifts, and
-products.  Admissibility is exact for SFT/Sturmian/Product and depth-exact
-(up to a certified window) for generated subshifts.
+quadratic-irrational arithmetic, and products.  Each gives one exact
+extension step, `walk_step`; admissibility, the language and its count are
+walks over it.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from suspshift.quadratic import QuadraticReal, _make, as_qr, floor_surd, sign_surd
 
 Word = tuple  # tuple of ints
-
-
-class DepthExceeded(Exception):
-    """A generated subshift was queried beyond its certified window."""
 
 
 class EmptySubshift(Exception):
@@ -131,11 +127,41 @@ class SturmianPoint(PointOracle):
 
 
 class Subshift:
+    """A subshift given by its exact extension step `walk_step`: a walk
+    state fixes which one-symbol right extensions follow, so admissibility,
+    the language and its size are walks from `walk_root`."""
+
     alphabet_size: int
     walk_root = ()  # the `walk_step` state of the empty word
 
-    def admissible(self, word: Word) -> bool:
+    def walk_step(self, state):
+        """(symbol, state) for each admissible one-symbol right extension of
+        the word in `state`, by increasing symbol."""
         raise NotImplementedError
+
+    def walk(self, word: Word, state):
+        """The state after reading `word` from `state`, or None if some
+        extension is not admissible."""
+        for c in word:
+            state = dict(self.walk_step(state)).get(c)
+            if state is None:
+                return None
+        return state
+
+    def admissible(self, word: Word) -> bool:
+        self._check_symbols(word)
+        if not word:
+            return bool(self.walk_step(self.walk_root))
+        return self.walk(word, self.walk_root) is not None
+
+    def levels(self, n: int):
+        """The sorted (word, state) pairs of lengths 1, ..., n, one list per
+        length."""
+        level = [((), self.walk_root)]
+        for _ in range(n):
+            level = sorted(((w + (c,), nxt) for w, state in level
+                            for c, nxt in self.walk_step(state)), key=lambda e: e[0])
+            yield level
 
     def language(self, n: int) -> frozenset:
         cache = self.__dict__.setdefault("_lang_cache", {})
@@ -144,18 +170,27 @@ class Subshift:
         return cache[n]
 
     def _language(self, n: int) -> frozenset:
-        raise NotImplementedError
+        if n < 1:
+            raise ValueError("n >= 1")
+        for level in self.levels(n):
+            pass
+        return frozenset(w for w, _ in level)
+
+    def count(self, n: int) -> int:
+        """|language(n)|, by the walk with equal states merged and their
+        multiplicities summed."""
+        counts = {self.walk_root: 1}
+        for _ in range(n):
+            nxt = {}
+            for state, k in counts.items():
+                for _, s in self.walk_step(state):
+                    nxt[s] = nxt.get(s, 0) + k
+            counts = nxt
+        return sum(counts.values())
 
     def periodic_points(self, n: int) -> list:
         """Fixed points of sigma^n, as PointOracles."""
         raise NotImplementedError
-
-    def walk_step(self, state):
-        """(symbol, state) for each admissible one-symbol right extension of
-        the word in `state`.  A state fixes which extensions follow; by
-        default it is the word itself."""
-        return [(c, state + (c,)) for c in range(self.alphabet_size)
-                if self.admissible(state + (c,))]
 
     def entropy_exact(self):
         return None
@@ -271,23 +306,6 @@ class SFT(Subshift):
 
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def admissible(self, word: Word) -> bool:
-        self._check_symbols(word)
-        word = tuple(word)
-        m = self.memory
-        if len(word) == 0:
-            return not self.is_empty()
-        if len(word) < m:
-            return word in self._vertex_factors
-        if not self._forbidden_free(word):
-            return False
-        blocks = [word[i : i + m] for i in range(len(word) - m + 1)]
-        if any(b not in self.vindex for b in blocks):
-            return False
-        return all(
-            blocks[i + 1] in self.edges[blocks[i]] for i in range(len(blocks) - 1)
-        )
 
     def walk_step(self, state):
         """The state is the word's last `memory` symbols: a vertex of the
@@ -529,12 +547,8 @@ class Sturmian(Subshift):
         """The arc (la, lb, ha, hb) of `word` read from coordinate `anchor`,
         as in `walk_step` ([0, 1) for the empty word), or None."""
         self._check_symbols(word)
-        state = (anchor, None)
-        for c in word:
-            state = dict(self.walk_step(state)).get(c)
-            if state is None:
-                return None
-        return state[1] or (0, 0, self.alpha.C, 0)
+        state = self.walk(word, (anchor, None))
+        return None if state is None else state[1] or (0, 0, self.alpha.C, 0)
 
     def cylinder_arcs(self, word: Word, anchor: int = 0):
         """Arcs of phases whose coding matches `word` at `anchor`; exact,
@@ -557,9 +571,6 @@ class Sturmian(Subshift):
         la, lb, ha, hb = arc
         return _make(ha - la, hb - lb, self.alpha.C, self.alpha.d)
 
-    def admissible(self, word: Word) -> bool:
-        return self._cylinder(word, 0) is not None
-
     def periodic_points(self, n: int) -> list:
         return []  # irrational rotation codings are aperiodic
 
@@ -572,7 +583,7 @@ class Sturmian(Subshift):
 
 
 # ---------------------------------------------------------------------------
-# products and generated subshifts
+# products
 
 
 class ProductSubshift(Subshift):
@@ -582,26 +593,17 @@ class ProductSubshift(Subshift):
         self.first = first
         self.second = second
         self.alphabet_size = first.alphabet_size * second.alphabet_size
-
-    def split(self, word: Word):
-        n2 = self.second.alphabet_size
-        return tuple(c // n2 for c in word), tuple(c % n2 for c in word)
+        self.walk_root = (first.walk_root, second.walk_root)
 
     def join(self, w1: Word, w2: Word) -> Word:
         n2 = self.second.alphabet_size
         return tuple(a * n2 + b for a, b in zip(w1, w2))
 
-    def admissible(self, word: Word) -> bool:
-        self._check_symbols(word)
-        w1, w2 = self.split(word)
-        return self.first.admissible(w1) and self.second.admissible(w2)
-
-    def _language(self, n: int) -> frozenset:
-        return frozenset(
-            self.join(w1, w2)
-            for w1 in self.first.language(n)
-            for w2 in self.second.language(n)
-        )
+    def walk_step(self, state):
+        """The state is the pair of component states."""
+        n2 = self.second.alphabet_size
+        return [(a * n2 + b, (s1, s2)) for a, s1 in self.first.walk_step(state[0])
+                for b, s2 in self.second.walk_step(state[1])]
 
     def periodic_points(self, n: int) -> list:
         pts = []
@@ -615,57 +617,6 @@ class ProductSubshift(Subshift):
             "kind": "product",
             "first": self.first.to_json(),
             "second": self.second.to_json(),
-        }
-
-
-class GeneratedSubshift(Subshift):
-    """Window-limited subshift given by its language up to a certified depth.
-
-    Queries beyond the window raise DepthExceeded; nothing is silently
-    approximated.
-    """
-
-    def __init__(self, alphabet_size: int, language_source, window: int, label=""):
-        """language_source: callable n -> iterable of admissible n-words."""
-        self.alphabet_size = alphabet_size
-        self.window = window
-        self.label = label
-        self._source = language_source
-        self._cache = {}
-
-    def language(self, n: int) -> frozenset:
-        if n < 1:
-            raise ValueError("n >= 1")
-        if n > self.window:
-            raise DepthExceeded(f"window {self.window} < {n}")
-        if n not in self._cache:
-            self._cache[n] = frozenset(tuple(w) for w in self._source(n))
-        return self._cache[n]
-
-    def admissible(self, word: Word) -> bool:
-        self._check_symbols(word)
-        if len(word) == 0:
-            return True
-        return tuple(word) in self.language(len(word))
-
-    def periodic_points(self, n: int) -> list:
-        """Period-n candidates certified only up to the window: w^k admissible
-        for the largest k with k*n <= window."""
-        k = self.window // n
-        if k < 2:
-            raise DepthExceeded("window too small to screen periodicity")
-        out = []
-        for w in self.language(n):
-            if self.admissible(w * k):
-                out.append(PeriodicPoint(w))
-        return out
-
-    def to_json(self):
-        return {
-            "kind": "generated",
-            "alphabet_size": self.alphabet_size,
-            "window": self.window,
-            "label": self.label,
         }
 
 

@@ -2,9 +2,7 @@ import json
 import math
 import os
 
-from suspshift import cli
 from suspshift.cli import main
-from suspshift.subshifts import GeneratedSubshift
 
 
 GOLDEN = {"kind": "sft", "alphabet_size": 2, "forbidden": ["11"]}
@@ -151,20 +149,6 @@ def test_ocap_cylinder_past_the_sampled_orbit_emits_error_json(tmp_path, capsys)
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert err["error"] == "HorizonExceeded"
     assert "sampled window" in err["precondition"]
-
-
-def test_depth_exceeded_emits_error_json(tmp_path, capsys, monkeypatch):
-    # no shipped command queries a generated subshift past its window, so a
-    # stand-in command does
-    def deep_query(cfg, seed, out_dir, chash):
-        GeneratedSubshift(2, lambda n: [], window=4).language(8)
-
-    monkeypatch.setitem(cli.COMMANDS, "entropy", deep_query)
-    code, out = run_cli(tmp_path, "entropy", {"system": FULL2, "parameters": {}})
-    assert code == 2
-    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-    assert err["error"] == "DepthExceeded"
-    assert "window 4" in err["precondition"]
 
 
 def test_induced_check(tmp_path):

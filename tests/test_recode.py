@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from suspshift import instances, markers, recode
 from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 from suspshift.quadratic import qr, sqrt_d
-from suspshift.markers import build_marker, return_spectrum
+from suspshift.markers import NoMarkerFound, build_marker, return_spectrum
 from suspshift.recode import (
     BalancedCode,
     CapacityExceeded,
@@ -297,8 +297,8 @@ class TestRecodeDex:
             rf.decode(foreign)
 
     def test_z_language_factor_closed(self, two_valued_model):
-        lang6 = two_valued_model.Z.language(6)
-        lang4 = two_valued_model.Z.language(4)
+        lang6 = two_valued_model.automaton.language(6)
+        lang4 = two_valued_model.automaton.language(4)
         for w in lang6:
             for i in range(3):
                 assert w[i : i + 4] in lang4
@@ -435,7 +435,7 @@ class TestFeasibleGapMarker:
         # unbounded returns
         base = SFT(3, adjacency=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         flow = SuspensionFlow(base, Roof.by_symbol([1, 2, 3]))
-        with pytest.raises(PreconditionFailed, match="feasible gap spectrum"):
+        with pytest.raises(NoMarkerFound, match="feasible gap spectrum"):
             find_marker_with_feasible_gaps(flow, lambda g, t: t <= 4, 3, 12)
 
 
@@ -553,6 +553,76 @@ class TestSetupWork:
             }
 
 
+@pytest.mark.parametrize("model", ["two_valued_model", "marked_model"])
+def test_encode_reads_the_last_marker_hit(request, model):
+    # a hit may start fewer than len(marker) symbols before the point; the
+    # truth comes from a text scan for the hits, the roof sum since the last
+    # one, and the concatenated emissions of the atoms at the hits
+    rf = request.getfixturevalue(model)
+    x = rf.flow.base.point(qr(Fraction(2, 11)))
+    marker = word_str(rf.marker.word)
+    text = word_str(x.block(-200, 400))
+    hits = [s - 200 for s in range(len(text)) if text.startswith(marker, s)]
+    symbols, first_symbol = [], {}
+    for s in hits[:-1]:
+        first_symbol[s] = len(symbols)
+        symbols.extend(rf.atom_at(x, s).emission)
+    radius = 10
+    for i0 in range(60, 340):
+        j0 = max(s for s in hits if s <= i0)
+        elapsed = sum((rf.flow.roof.value_at(x, c) for c in range(j0, i0)), qr(0))
+        atom = rf.atom_at(x, j0)
+        piece = max(k for k, t in enumerate(atom.offsets) if t <= elapsed)
+        center = first_symbol[j0] + piece
+        window, z_height, center_base = rf.encode(make_flow_point(rf.flow, x, 0, i0), radius)
+        assert (z_height, center_base) == (elapsed - atom.offsets[piece],
+                                           j0 + atom.columns[piece])
+        assert window == tuple(symbols[center - radius:center + radius + 1])
+
+
+def reference_chain_language(automaton, n):
+    """Every length-n window readable along atom chains, walked from each
+    (atom, position) with a memo on (state, budget): the language of Z as
+    it was computed before the automaton was a walked subshift."""
+    seen = {}
+
+    def walk(state, budget):
+        if budget == 0:
+            return {()}
+        if (state, budget) not in seen:
+            ai, pos = state
+            emission = automaton.atoms[ai].emission
+            nxt = ([(ai, pos + 1)] if pos + 1 < len(emission)
+                   else [(j, 0) for j in automaton.successors[ai]])
+            seen[state, budget] = {(emission[pos],) + tail
+                                   for s2 in nxt for tail in walk(s2, budget - 1)}
+        return seen[state, budget]
+
+    return {w for a in automaton.atoms for pos in range(len(a.emission))
+            for w in walk((a.index, pos), n)}
+
+
+@pytest.mark.parametrize("model", ["two_valued_model", "marked_model"])
+def test_z_walk_matches_chain_reference(request, model):
+    z = request.getfixturevalue(model).automaton
+    for n in range(1, 13):
+        assert z.language(n) == reference_chain_language(z, n)
+        assert z.count(n) == len(z.language(n))
+
+
+@pytest.mark.parametrize("model", ["two_valued_model", "marked_model"])
+def test_z_admits_long_chain_blocks(request, model):
+    rf = request.getfixturevalue(model)
+    for seed in range(5):
+        block = rf.sample_point(seed).block(-100, 100)
+        assert rf.automaton.admissible(block)
+    # an atom's emission followed by a non-successor's is no chain block
+    succ = rf.automaton.successors
+    bad = [a.emission + b.emission for a in rf.atoms for b in rf.atoms
+           if b.index not in succ[a.index]]
+    assert bad and not any(map(rf.automaton.admissible, bad))
+
+
 class TestSqrt7TwoValued:
     """The two-valued instance on Sturmian(sqrt7-2) with roof sqrt7, p=1,
     q=sqrt7, eps=delta=1/10: gaps 223 and 271, code lengths 312 and 328."""
@@ -619,7 +689,7 @@ class TestRecodeBog:
     def test_itinerary_entropy_below_log2(self, root2_flow, wide_marker):
         rf = recode_near_constant(root2_flow, wide_marker, Fraction(1, 4),
                                   target_a=Fraction(3, 2))
-        itinerary = rf.Z
+        itinerary = rf.automaton
         m = 14
         count = len(itinerary.language(m))
         assert math.log(count) / m <= math.log(2) + 0.05

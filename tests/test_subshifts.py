@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from suspshift.quadratic import as_qr, qr, sqrt_d
 from suspshift.subshifts import (
     Cylinder,
-    DepthExceeded,
-    GeneratedSubshift,
     ProductSubshift,
     SFT,
     Sturmian,
@@ -202,14 +201,6 @@ class TestProductAndGenerated:
         assert len(prod.language(2)) == 3 * 4
         assert len(prod.periodic_points(2)) == lucas(2) * 4
 
-    def test_generated_window(self):
-        fs = full_shift(2)
-        g = GeneratedSubshift(2, lambda n: fs.language(n), window=6)
-        assert g.admissible((0, 1, 0))
-        assert len(g.language(6)) == 64
-        with pytest.raises(DepthExceeded):
-            g.language(7)
-
 
 def test_factor_closure_and_extendability(golden, sturmian):
     for system in (golden, sturmian, full_shift(2)):
@@ -246,3 +237,85 @@ def test_json_round_trip(golden, sturmian):
     for system in (golden, sturmian, ProductSubshift(golden, full_shift(2))):
         clone = subshift_from_json(system.to_json())
         assert clone.language(4) == system.language(4)
+
+
+# ---------------------------------------------------------------------------
+# the generic walk against the per-class oracles it replaced
+
+
+def reference_sft_admissible(sft, word):
+    """SFT admissibility by a forbidden-word scan and a path through the
+    essential vertex graph, as SFT.admissible decided it before every
+    subshift walked its `walk_step`."""
+    sft._check_symbols(word)
+    word, m = tuple(word), sft.memory
+    if not word:
+        return not sft.is_empty()
+    if len(word) < m:
+        return word in sft._vertex_factors
+    if not sft._forbidden_free(word):
+        return False
+    blocks = [word[i : i + m] for i in range(len(word) - m + 1)]
+    if any(b not in sft.vindex for b in blocks):
+        return False
+    return all(blocks[i + 1] in sft.edges[blocks[i]] for i in range(len(blocks) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_admissible_matches_sft_reference(data):
+    k = data.draw(st.integers(2, 3), label="alphabet")
+    letters = st.integers(0, k - 1)
+    forbidden = data.draw(st.lists(st.lists(letters, min_size=1, max_size=4).map(tuple),
+                                   min_size=1, max_size=4), label="forbidden")
+    sft = SFT(k, forbidden=forbidden)
+    assert 1 <= sft.memory <= 3
+    for _ in range(20):
+        w = tuple(data.draw(st.lists(letters, max_size=12), label="word"))
+        assert sft.admissible(w) == reference_sft_admissible(sft, w)
+
+
+def test_walk_admissible_edge_cases(golden, sturmian):
+    dead = SFT(2, forbidden=[(0,), (1,)])
+    assert dead.is_empty() and not dead.admissible(())
+    for system in (golden, sturmian, ProductSubshift(golden, sturmian)):
+        assert system.admissible(())
+        with pytest.raises(ValueError, match="outside alphabet"):
+            system.admissible((0, system.alphabet_size))
+
+
+@pytest.mark.parametrize("convention", ["low", "high"])
+@pytest.mark.parametrize("angle", [sqrt_d(2) - 1, sqrt_d(3) - 1, (sqrt_d(5) - 1) / 2,
+                                   sqrt_d(7) - 2],
+                         ids=["sqrt2-1", "sqrt3-1", "golden", "sqrt7-2"])
+def test_levels_match_sturmian_language(angle, convention):
+    system = Sturmian(angle, convention)
+    for n, level in enumerate(system.levels(30), 1):
+        words = [w for w, _ in level]
+        assert words == sorted(system._language(n))
+
+
+@pytest.mark.parametrize("forbidden", [[(1, 1)], [(0, 1, 1), (1, 0, 1, 0)], [(0, 0, 0, 1)]])
+def test_levels_match_sft_language(forbidden):
+    sft = SFT(2, forbidden=forbidden)
+    for n, level in enumerate(sft.levels(14), 1):
+        words = [w for w, _ in level]
+        assert words == sorted(sft._language(n))
+
+
+def test_product_walk_matches_component_walks(golden, sturmian):
+    prod = ProductSubshift(golden, sturmian)
+    for n in range(1, 8):
+        assert prod.language(n) == {prod.join(w1, w2) for w1 in golden.language(n)
+                                    for w2 in sturmian.language(n)}
+    for w in itertools.product(range(4), repeat=5):
+        w1, w2 = tuple(c // 2 for c in w), tuple(c % 2 for c in w)
+        assert prod.admissible(w) == (golden.admissible(w1) and sturmian.admissible(w2))
+
+
+def test_count_matches_language_size(golden, sturmian):
+    systems = (golden, full_shift(3), SFT(2, forbidden=[(0, 1, 1), (1, 0, 1, 0)]),
+               sturmian, Sturmian(sqrt_d(7) - 2, "high"), ProductSubshift(golden, sturmian))
+    for system in systems:
+        for n in range(1, 11):
+            assert system.count(n) == len(system.language(n))
