@@ -127,7 +127,7 @@ def cmd_entropy(cfg, seed, out_dir, chash):
     exact = system.entropy_exact()
     if exact is not None:
         rows.append(("perron", repr(exact)))
-    count_rate = math.log(len(system.language(horizon))) / horizon
+    count_rate = math.log(system.count(horizon)) / horizon
     rows.append((f"count_n{horizon}", repr(count_rate)))
     files = [_write_csv(out_dir, "entropy.csv", ("method", "nats"), rows, chash)]
     if "measure" in cfg["parameters"]:

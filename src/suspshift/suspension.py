@@ -7,10 +7,11 @@ return times and section membership are decided exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from suspshift.quadratic import QuadraticReal, as_qr
+from suspshift.quadratic import QuadraticReal, _make, as_qr, sign_surd
 from suspshift.measures import Measure, _xlogx, integrate_locally_constant, sum_exact
 from suspshift.subshifts import (
     Cylinder,
@@ -31,6 +32,23 @@ class NotHit(Exception):
 
 class IncommensurableRoof(Exception):
     pass
+
+
+def _radicand(values, d=None):
+    """The one radicand of the irrational values among `values` and `d`
+    (None when there are none); ValueError when they have two."""
+    for v in values:
+        if v.B and v.d != d:
+            if d is not None:
+                raise ValueError(f"mixed radicands {d} and {v.d}")
+            d = v.d
+    return d
+
+
+def _pair(v: QuadraticReal, denominator: int):
+    """v as the integers (x, y) of (x + y*sqrt(d))/denominator."""
+    f = denominator // v.C
+    return v.A * f, v.B * f
 
 
 class Roof:
@@ -147,7 +165,9 @@ class CrossSection:
 
     The pieces are indexed once by (anchor, word length) and then by word, so
     `match_at` reads the base window spanned by all pieces once and finds the
-    matching pieces by lookup.
+    matching pieces by lookup.  `return_to_section` runs on the section's
+    `ReturnPlan`, built on the first return under a roof and kept with the
+    roof it was built for.
     """
 
     def __init__(self, pieces, validity_depth: int = 0, meta=None):
@@ -169,6 +189,7 @@ class CrossSection:
             (anchor - self._lo, anchor - self._lo + n, words)
             for (anchor, n), words in groups.items()
         ]
+        self._plan = None
 
     def __len__(self):
         return len(self.pieces)
@@ -193,6 +214,55 @@ class CrossSection:
             ks.extend(words.get(window[start:end], ()))
         ks.sort()
         return [(self.pieces[k].offset, k) for k in ks]
+
+    def plan(self, roof: Roof) -> "ReturnPlan":
+        """The return plan of this section under `roof`: the one kept, if
+        it was built for this roof, else a new one that replaces it."""
+        if self._plan is None or self._plan.roof is not roof:
+            self._plan = ReturnPlan(roof, self)
+        return self._plan
+
+
+class ReturnPlan:
+    """First returns to one cross-section under one roof, on integers.
+
+    Every roof value and piece offset is held as the integer pair (x, y) of
+    (x + y*sqrt(d))/L0 over one common denominator L0; `d` is None when
+    all of them are rational.  The pieces are ranked by (offset, piece
+    index), so the first landing in a column is the lowest rank hit there.
+    A return reads one base window per shift, the union [lo, hi) of the
+    roof window [-m, m] and the section window; its roof word (the slice
+    `roof_word`) keys `columns`, which holds the roof's pair and, for each
+    (anchor, length) group of the section, the ranks of the pieces on each
+    word whose offset lies below that roof.
+    """
+
+    def __init__(self, roof: Roof, section: CrossSection):
+        self.roof = roof
+        offsets = [piece.offset for piece in section.pieces]
+        values = [*roof.table.values(), *offsets]
+        self.d = _radicand(values)
+        self.L0 = math.lcm(*(v.C for v in values))
+        order = sorted(range(len(offsets)), key=lambda k: (offsets[k], k))
+        rank = {k: r for r, k in enumerate(order)}
+        # by rank: (piece index, offset, its pair over L0)
+        self.ranked = [(k, offsets[k], *_pair(offsets[k], self.L0)) for k in order]
+        m = roof.m
+        self.lo, self.hi = min(-m, section._lo), max(m + 1, section._hi)
+        self.roof_word = slice(-m - self.lo, m + 1 - self.lo)
+        shift = section._lo - self.lo
+        self.columns = {}
+        for w, r in roof.table.items():
+            groups = []
+            for start, end, words in section._groups:
+                below = {}
+                for word, ks in words.items():
+                    ranks = sorted(rank[k] for k in ks if offsets[k] < r)
+                    if ranks:
+                        below[word] = tuple(ranks)
+                if below:
+                    groups.append((start + shift, end + shift, below))
+            self.columns[w] = (*_pair(r, self.L0), tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -255,24 +325,64 @@ def return_to_section(
 ):
     """Smallest t > 0 with flow(p, t) in the section; exact arithmetic.
 
-    Returns (return_time, landing FlowPoint, piece index).  A point already
-    on the section returns at the next hit, never at time 0.
+    Returns (return_time, landing FlowPoint, piece index); of the pieces
+    landed on at once, the lowest index.  A point already on the section
+    returns at the next hit, never at time 0.
+
+    Runs on the section's `ReturnPlan` for the flow's roof.  Each base shift
+    is one oracle read, one roof lookup, one lookup per piece group and two
+    integer adds to the roof sum; only the first column compares offsets with
+    the start height, one `sign_surd` each.  The time, roof sum plus landing
+    offset minus start height over lcm(L0, height denominator), is built
+    once, and the landing height is the piece's own offset.
     """
+    roof = flow_sys.roof
+    plan = section.plan(roof)
+    h = p.height
+    d = _radicand((h,), plan.d)
+    L0, ranked, columns = plan.L0, plan.ranked, plan.columns
+    lo, hi, roof_word = plan.lo, plan.hi, plan.roof_word
+    oracle = p.oracle
+    block = oracle.block
+    hx, hy, hC = h.A * L0, h.B * L0, h.C
     idx = p.index
-    col_start = -p.height  # flow time at which the current column was entered
+    sx = sy = 0  # the roofs passed, over L0
+    irrational = False  # whether one of them is
     first = True
     for _ in range(max_shifts):
-        r = flow_sys.roof_at(p.oracle, idx)
-        hits = section.match_at(p.oracle, idx)
-        if first:
-            hits = [(off, k) for (off, k) in hits if off > p.height]
-            first = False
-        hits = [(off, k) for (off, k) in hits if off < r]
-        if hits:
-            off, k = min(hits, key=lambda t: t[0])
-            return col_start + off, FlowPoint(p.oracle, idx, off), k
-        col_start = col_start + r
+        try:
+            window = tuple(block(idx + lo, idx + hi))
+            rx, ry, groups = columns[window[roof_word]]
+        except (HorizonExceeded, KeyError):
+            roof.value_at(oracle, idx)  # the roof's own read and lookup fail first
+            raise
+        hit = None
+        for start, end, words in groups:
+            ranks = words.get(window[start:end])
+            if ranks is None:
+                continue
+            for r in ranks:
+                # in the first column only offsets above the start height count
+                if not first or sign_surd(ranked[r][2] * hC - hx,
+                                          ranked[r][3] * hC - hy, d) > 0:
+                    if hit is None or r < hit:
+                        hit = r
+                    break
+        if hit is not None:
+            k, off, ox, oy = ranked[hit]
+            L = math.lcm(L0, hC)
+            f, g = L // L0, L // hC
+            # a rational time keeps the radicand of its last irrational
+            # summand, or the start height's when no summand is irrational
+            td = d if irrational or oy else h.d
+            t = _make((sx + ox) * f - h.A * g, (sy + oy) * f - h.B * g, L, td)
+            return t, FlowPoint(oracle, idx, off), k
+        sx += rx
+        sy += ry
+        if ry:
+            irrational = True
         idx += 1
+        first = False
     raise NotHit(f"no return within {max_shifts} base shifts")
 
 
@@ -555,19 +665,22 @@ def occupation_fraction_flow(flow_sys, point: FlowPoint, slabs, duration,
     """Exact fraction of [0, duration) the orbit of `point` spends in the
     union of tower slabs (cylinder, lo, hi)."""
     duration = as_qr(duration)
+    slabs = [
+        (cyl if isinstance(cyl, Cylinder) else Cylinder(*cyl), as_qr(lo), as_qr(hi))
+        for (cyl, lo, hi) in slabs
+    ]
     idx, h = point.index, point.height
     spent = as_qr(0)
     elapsed = as_qr(0)
     for _ in range(max_shifts):
         r = flow_sys.roof_at(point.oracle, idx)
         seg_end = r if elapsed + (r - h) <= duration else h + (duration - elapsed)
-        for (cyl, lo, hi) in slabs:
-            c = cyl if isinstance(cyl, Cylinder) else Cylinder(*cyl)
+        for (c, lo, hi) in slabs:
             blk = tuple(point.oracle.block(idx + c.anchor, idx + c.anchor + len(c.word)))
             if blk != tuple(c.word):
                 continue
-            lo_c = as_qr(lo) if as_qr(lo) > h else h
-            hi_c = as_qr(hi) if as_qr(hi) < seg_end else seg_end
+            lo_c = lo if lo > h else h
+            hi_c = hi if hi < seg_end else seg_end
             if lo_c < hi_c:
                 spent = spent + (hi_c - lo_c)
         elapsed = elapsed + (seg_end - h)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 from suspshift.cli import main
 
@@ -51,6 +52,23 @@ def test_entropy_block_table(tmp_path):
     lines = read_csv(out / "block_entropy.csv")
     assert lines[1] == "n,H_n,H_n_over_n,H_gain"
     assert len(lines) == 8
+
+
+def test_entropy_count_rate_without_the_language(tmp_path):
+    # golden-mean language(32) has F(34) = 5,702,887 words; the count rate
+    # comes from the walk's merged state counts instead
+    cfg = {"system": GOLDEN,
+           "parameters": {"horizon": 32, "measure": "parry", "blocks": 12}}
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "entropy", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
+    values = dict(l.split(",") for l in read_csv(out / "entropy.csv")[2:])
+    assert values["count_n32"] == repr(math.log(5702887) / 32)
 
 
 def test_marker_certificate(tmp_path):

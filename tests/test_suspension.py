@@ -1,17 +1,22 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suspshift.quadratic import qr, sqrt_d
+import suspshift.suspension as suspension
+from suspshift.quadratic import QuadraticReal, qr, sqrt_d
 from suspshift.measures import SturmianMeasure, bernoulli, parry_measure
 from suspshift.subshifts import Cylinder, PeriodicPoint, Sturmian, full_shift, golden_mean_sft
 from suspshift.suspension import (
     CrossSection,
     HorizonExceeded,
+    FiniteWordOracle,
     FlowPoint,
+    NotHit,
     Roof,
     SuspensionFlow,
     abramov_entropy,
@@ -33,6 +38,17 @@ from suspshift.suspension import (
 )
 
 PHI = (1 + math.sqrt(5)) / 2
+
+# roof values: rational, in Q[sqrt2], and one that makes the irrational
+# parts of a roof sum cancel
+ROOF_VALUES = [qr(1), qr(Fraction(2, 3)), sqrt_d(2), 2 - sqrt_d(2),
+               qr(Fraction(3, 2), Fraction(1, 4))]
+
+
+def _flow_with_roof(m, picks):
+    words = itertools.product((0, 1), repeat=2 * m + 1)
+    table = {w: ROOF_VALUES[k] for w, k in zip(words, picks)}
+    return SuspensionFlow(full_shift(2), Roof(m, table))
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +200,174 @@ class TestSection:
         assert abs(float(partial) - 2.0) < 1e-6
         dist, _ = return_time_distribution(mu, [0], tau_max=10)
         assert dist[1] == Fraction(1, 2) and dist[3] == Fraction(1, 8)
+
+
+class TestReturnPlan:
+    """`return_to_section` on its integer plan against the QuadraticReal
+    loop it replaced, `_reference_return`: the same time down to (A, B, C,
+    d), the same landing and piece, the same errors."""
+
+    def test_unit_and_mixed_flows(self, unit_flow, mixed_flow):
+        sections = [
+            [(Cylinder((0,), 0), qr(0))],
+            [(Cylinder((0,), 0), qr(0)), (Cylinder((1,), 0), qr(0))],
+            [(Cylinder((1, 0), 0), Fraction(1, 3)), (Cylinder((0,), -1), qr(0)),
+             (Cylinder((1,), 1), Fraction(1, 3)), (Cylinder((0, 0, 1), -2), Fraction(1, 2))],
+            [(Cylinder((1,), 0), sqrt_d(2) - 1), (Cylinder((1,), 0), Fraction(1, 5)),
+             (Cylinder((1, 1), -1), Fraction(1, 5))],
+        ]
+        rng = random.Random(3)
+        for fl in (unit_flow, mixed_flow):
+            for pieces in sections:
+                sec = CrossSection(pieces)
+                for _ in range(20):
+                    x = PeriodicPoint(tuple(rng.randrange(2) for _ in range(rng.randrange(3, 9))))
+                    idx = rng.randrange(-5, 5)
+                    h = fl.roof_at(x, idx) * Fraction(rng.randrange(10), 10)
+                    _assert_same_chain(fl, FlowPoint(x, idx, h), sec, 6)
+
+    def test_roof_with_window_one(self):
+        fl = _flow_with_roof(1, [0, 2, 3, 1, 4, 0, 2, 3])
+        sec = CrossSection([
+            (Cylinder((1, 1), -1), qr(0)), (Cylinder((0,), 2), Fraction(1, 2)),
+            (Cylinder((0, 1), 0), Fraction(1, 2)), (Cylinder((1,), 0), sqrt_d(2) / 2),
+        ])
+        rng = random.Random(5)
+        for _ in range(40):
+            x = PeriodicPoint(tuple(rng.randrange(2) for _ in range(rng.randrange(2, 11))))
+            idx = rng.randrange(-6, 6)
+            h = fl.roof_at(x, idx) * Fraction(rng.randrange(7), 7)
+            _assert_same_chain(fl, FlowPoint(x, idx, h), sec, 5)
+
+    def test_two_valued_section(self, two_valued_model):
+        rf = two_valued_model
+        sec = rf.section()
+        assert len(sec) == 35
+        rng = random.Random(8)
+        for _ in range(30):
+            x = rf.flow.base.point(qr(Fraction(rng.randrange(10**6), 10**6)))
+            h = rf.flow.roof_at(x, 0) * Fraction(rng.randrange(100), 101)
+            _assert_same_chain(rf.flow, make_flow_point(rf.flow, x, h), sec, 4, 200)
+
+    def test_kac_section_draws_the_same_walk(self, unit_flow):
+        sec = CrossSection([(Cylinder((0,), 0), qr(0))])
+        new, ref = (SFTWalk(unit_flow.base, random.Random(17)) for _ in range(2))
+        p, q = make_flow_point(unit_flow, new), make_flow_point(unit_flow, ref)
+        for _ in range(2000):
+            got = return_to_section(unit_flow, p, sec, max_shifts=2000)
+            want = _reference_return(unit_flow, q, sec, max_shifts=2000)
+            assert _return_key(got) == _return_key(want)
+            p, q = got[1], want[1]
+        assert new.rng.getstate() == ref.rng.getstate() and new.word == ref.word
+
+    def test_point_on_the_section_returns_later(self, mixed_flow):
+        sec = CrossSection([(Cylinder((0,), 0), Fraction(1, 2)),
+                            (Cylinder((1,), 0), Fraction(1, 2))])
+        p = FlowPoint(PeriodicPoint((0, 1, 1)), 0, qr(Fraction(1, 2)))
+        t, landing, k = return_to_section(mixed_flow, p, sec)
+        assert t == 1 and landing.index == 1 and k == 1
+        _assert_same_chain(mixed_flow, p, sec, 4)
+
+    def test_piece_above_every_roof_is_never_hit(self, mixed_flow):
+        # offsets at or above the roof of their column: 3, sqrt2 over [0]
+        # (roof 1), and each symbol's roof itself
+        sec = CrossSection([(Cylinder((1,), 0), qr(3)), (Cylinder((0,), 0), sqrt_d(2)),
+                            (Cylinder((1,), 0), sqrt_d(2)), (Cylinder((0,), 0), qr(1)),
+                            (Cylinder((1,), 0), Fraction(1, 3))])
+        p = make_flow_point(mixed_flow, PeriodicPoint((0, 1, 0, 0, 1)))
+        for _ in range(10):
+            t, p, k = return_to_section(mixed_flow, p, sec)
+            assert k == 4
+        _assert_same_chain(mixed_flow, p, sec, 8)
+
+    def test_rational_roof_with_sqrt3_height(self):
+        fl = SuspensionFlow(full_shift(2), Roof.by_symbol([qr(1), qr(Fraction(3, 2))]))
+        sec = CrossSection([(Cylinder((1,), 0), Fraction(1, 4)), (Cylinder((0, 0), 0), qr(0))])
+        x = PeriodicPoint((0, 1, 1, 0, 0, 1))
+        h = QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 3)  # (sqrt3 - 1)/2
+        for idx in range(6):
+            p = FlowPoint(x, idx, h)
+            assert return_to_section(fl, p, sec)[0].d == 3
+            _assert_same_chain(fl, p, sec, 3)
+
+    def test_radicand_of_a_rational_time(self, mixed_flow):
+        # a rational height written in Q[sqrt3] keeps d = 3 until a sqrt2
+        # roof or offset is added, as the QuadraticReal sum did; over roofs
+        # sqrt2 and 2 - sqrt2 a time can be rational again, with d = 2
+        cancelling = _flow_with_roof(0, [2, 3])
+        sec = CrossSection([(Cylinder((0,), 0), qr(0)), (Cylinder((1, 1), 0), sqrt_d(2) / 3)])
+        x = PeriodicPoint((0, 0, 1, 1, 1, 0))
+        h = QuadraticReal(Fraction(1, 3), 0, 3)
+        for fl in (mixed_flow, cancelling):
+            for idx in range(6):
+                if h < fl.roof_at(x, idx):
+                    _assert_same_chain(fl, FlowPoint(x, idx, h), sec, 4)
+        zero = CrossSection([(Cylinder((0,), 0), qr(0))])
+        p = FlowPoint(PeriodicPoint((0, 1, 0)), 0, h)
+        t, _, _ = return_to_section(cancelling, p, zero)
+        assert t == Fraction(5, 3) and t.d == 2
+        assert _qr_key(t) == _qr_key(_reference_return(cancelling, p, zero)[0])
+
+    def test_errors(self, unit_flow, mixed_flow):
+        sec = CrossSection([(Cylinder((0,), 0), qr(0))])
+        ones = make_flow_point(unit_flow, PeriodicPoint((1,)))
+        for fn in (return_to_section, _reference_return):
+            with pytest.raises(NotHit):
+                fn(unit_flow, ones, sec, max_shifts=50)
+        # a sampled word runs out: at its end, and at its start for a
+        # section anchored left of the roof window
+        finite = make_flow_point(unit_flow, FiniteWordOracle((1,) * 30), index=3)
+        left = CrossSection([(Cylinder((0, 1), -4), qr(0))])
+        for s in (sec, left):
+            for fn in (return_to_section, _reference_return):
+                with pytest.raises(HorizonExceeded, match="outside the sampled window"):
+                    fn(unit_flow, finite, s)
+        # a roof undefined on the window read
+        partial = SuspensionFlow(full_shift(2), Roof(0, {(0,): qr(1)}))
+        p = FlowPoint(PeriodicPoint((0, 0, 1)), 0, qr(0))
+        messages = set()
+        for fn in (return_to_section, _reference_return):
+            with pytest.raises(KeyError) as err:
+                fn(partial, p, CrossSection([(Cylinder((0, 1), -1), qr(0))]))
+            messages.add(str(err.value))
+        assert messages == {"'roof undefined on window (1,)'"}
+        # heights and offsets from two quadratic fields
+        sqrt3 = QuadraticReal(0, Fraction(1, 4), 3)
+        cases = [
+            (FlowPoint(PeriodicPoint((1,)), 0, sqrt3), base_section(mixed_flow)),
+            (make_flow_point(mixed_flow, PeriodicPoint((1, 0))),
+             CrossSection([(Cylinder((1,), 0), sqrt3)])),
+        ]
+        for p, s in cases:
+            for fn in (return_to_section, _reference_return):
+                with pytest.raises(ValueError, match="mixed radicands"):
+                    fn(mixed_flow, p, s)
+
+    def test_plan_is_kept_per_roof(self, unit_flow, mixed_flow):
+        sec = CrossSection([(Cylinder((0,), 0), qr(0))])
+        plan = sec.plan(unit_flow.roof)
+        assert sec.plan(unit_flow.roof) is plan
+        other = sec.plan(mixed_flow.roof)
+        assert other is not plan and other.roof is mixed_flow.roof
+        p = make_flow_point(unit_flow, PeriodicPoint((0, 1, 1)))
+        assert _return_key(return_to_section(unit_flow, p, sec)) == \
+            _return_key(_reference_return(unit_flow, p, sec))
+
+    def test_no_quadratic_operation_per_shift(self, monkeypatch, mixed_flow):
+        sec = CrossSection([(Cylinder((0, 0), 0), Fraction(1, 2)), (Cylinder((1,), 0), qr(2))])
+        x = PeriodicPoint((1,) * 40 + (0, 0))
+        p = make_flow_point(mixed_flow, x, sqrt_d(2) - 1)
+        return_to_section(mixed_flow, p, sec)  # builds the plan
+        counts = Counter()
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
+                     "__ge__", "__eq__", "_cmp", "sign", "floor", "__bool__"):
+            monkeypatch.setattr(QuadraticReal, name, _counting(counts, name,
+                                                              getattr(QuadraticReal, name)))
+        monkeypatch.setattr(suspension, "_make", _counting(counts, "_make", suspension._make))
+        t, landing, k = return_to_section(mixed_flow, p, sec)
+        assert landing.index == 40 and k == 0
+        assert counts == Counter({"_make": 1})
 
 
 class TestAbramov:
@@ -343,3 +527,64 @@ def test_flow_json_round_trip(mixed_flow):
     clone = flow_from_json(flow_to_json(mixed_flow))
     assert clone.roof.table == mixed_flow.roof.table
     assert clone.base.language(3) == mixed_flow.base.language(3)
+
+
+# ---------------------------------------------------------------------------
+# the QuadraticReal loop that the integer returns replaced, kept as the
+# reference
+
+
+def _reference_return(flow_sys, p, section, max_shifts=10000):
+    idx = p.index
+    col_start = -p.height
+    first = True
+    for _ in range(max_shifts):
+        r = flow_sys.roof_at(p.oracle, idx)
+        hits = section.match_at(p.oracle, idx)
+        if first:
+            hits = [(off, k) for (off, k) in hits if off > p.height]
+            first = False
+        hits = [(off, k) for (off, k) in hits if off < r]
+        if hits:
+            off, k = min(hits, key=lambda t: t[0])
+            return col_start + off, FlowPoint(p.oracle, idx, off), k
+        col_start = col_start + r
+        idx += 1
+    raise NotHit(f"no return within {max_shifts} base shifts")
+
+
+def _qr_key(v):
+    return v.A, v.B, v.C, v.d
+
+
+def _flow_key(p):
+    return p.index, _qr_key(p.height)
+
+
+def _return_key(out):
+    t, landing, k = out
+    return _qr_key(t), _flow_key(landing), k
+
+
+def _assert_same_chain(fl, p, section, returns, max_shifts=200):
+    """Up to `returns` chained returns from p agree with the reference,
+    down to a NotHit that ends the chain."""
+    for _ in range(returns):
+        try:
+            want = _reference_return(fl, p, section, max_shifts)
+        except NotHit:
+            with pytest.raises(NotHit):
+                return_to_section(fl, p, section, max_shifts)
+            return
+        out = return_to_section(fl, p, section, max_shifts)
+        assert _return_key(out) == _return_key(want)
+        assert out[1].oracle is p.oracle
+        assert out[1].height is section.pieces[out[2]].offset
+        p = out[1]
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
