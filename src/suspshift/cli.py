@@ -382,6 +382,14 @@ COMMANDS = {
 }
 
 
+def _error_json(err: Exception) -> int:
+    print(json.dumps({
+        "error": type(err).__name__,
+        "precondition": str(err),
+    }, sort_keys=True))
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="suspshift-lab")
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -392,17 +400,16 @@ def main(argv=None) -> int:
 
     out_dir = os.environ.get("SUSPSHIFT_OUT", args.out)
     os.makedirs(out_dir, exist_ok=True)
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as err:  # unreadable, or not JSON
+        return _error_json(err)
     chash = _config_hash(cfg, args.seed)
     try:
         files = COMMANDS[args.command](cfg, args.seed, out_dir, chash)
     except ERRORS as err:
-        print(json.dumps({
-            "error": type(err).__name__,
-            "precondition": str(err),
-        }, sort_keys=True))
-        return 2
+        return _error_json(err)
     for f in files:
         print(f)
     return 0

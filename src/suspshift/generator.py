@@ -33,13 +33,6 @@ class NoMarkersFound(Exception):
 LETTER_P, LETTER_Q, LETTER_A = "P", "Q", "A"
 
 
-@dataclass(frozen=True)
-class MarkingSpan:
-    start: int  # index of the opening P letter
-    end: int    # index of the closing P letter (inclusive)
-    a_count: int
-
-
 def _over(v: QuadraticReal, L: int):
     """Integers (x, y) with v = (x + y*sqrt(d))/L, for a multiple L of v.C."""
     s = L // v.C
@@ -253,24 +246,6 @@ def _marking_a_count(inner: str, k_param: int):
             and a_count + inner.count(LETTER_Q) == len(inner):
         return a_count
     return None
-
-
-def find_marking_subwords(name: str, k_param: int):
-    """Maximal P..P blocks of tower letters whose A-count is K or K+1.
-
-    These locate the marker returns: interior zero runs of the scheduling
-    words give counts < K and the pre-marking run gives M + K > K + 1.
-    """
-    spans = []
-    parts = name.split(LETTER_P)
-    start = len(parts[0])
-    for inner in parts[1:-1]:
-        end = start + len(inner) + 1
-        a_count = _marking_a_count(inner, k_param)
-        if a_count is not None:
-            spans.append(MarkingSpan(start, end, a_count))
-        start = end
-    return spans
 
 
 def decode_name(name: str, k_param: int) -> str:

@@ -296,17 +296,6 @@ class SturmianMeasure(Measure):
         return self._cache[word]
 
 
-class ConvexCombination(Measure):
-    def __init__(self, t, mu: Measure, nu: Measure):
-        self.t = Fraction(t) if not isinstance(t, (Fraction, QuadraticReal)) else t
-        self.mu = mu
-        self.nu = nu
-        self.subshift = mu.subshift
-
-    def mass(self, word: Word):
-        return self.t * self.mu.mass(word) + (1 - self.t) * self.nu.mass(word)
-
-
 def block_entropy(measure: Measure, n: int) -> float:
     """(1/n) H of the length-n block distribution."""
     if hasattr(measure, "block_entropy"):

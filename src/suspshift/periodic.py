@@ -1,5 +1,5 @@
 """Periodic censuses, global periodic growth, and the local counting
-functions p_k with their tail estimates.
+functions p_k.
 
 All censuses are exact: SFT periodic points come from cycle enumeration in
 the vertex graph, their empirical measures are rational, and the distances
@@ -105,45 +105,11 @@ def _census_distance(census: PeriodicCensus, config: DMetricConfig, i: int, j: i
     return cache[key]
 
 
-def p_k(census: PeriodicCensus, entry: CensusEntry, eps_k, config: DMetricConfig,
-        count_measures: bool = False) -> float:
+def p_k(census: PeriodicCensus, entry: CensusEntry, eps_k, config: DMetricConfig) -> float:
     """(1/t) log of the number of periodic orbits gamma' with minimal period
-    <= t(gamma) whose measures sit within eps_k of entry's measure in D.
-
-    With count_measures=True distinct orbits sharing one measure are counted
-    once (the flow convention counts orbits; the discrete one may identify
-    measures)."""
-    close = []
-    for other in census.orbits_up_to(entry.period):
-        if _census_distance(census, config, other.orbit_id, entry.orbit_id) < eps_k:
-            close.append(other)
-    if count_measures:
-        keys = set()
-        for o in close:
-            keys.add(tuple(sorted(o.measure._tables[1].items())) + (o.period,))
-        count = len(keys)
-    else:
-        count = len(close)
+    <= t(gamma) whose measures sit within eps_k of entry's measure in D
+    (the flow convention: distinct orbits sharing one measure all count)."""
+    count = sum(1 for other in census.orbits_up_to(entry.period)
+                if _census_distance(census, config, other.orbit_id, entry.orbit_id) < eps_k)
     return math.log(max(count, 1)) / entry.period
 
-
-def u1_table(census: PeriodicCensus, eps_sequence, config: DMetricConfig):
-    """For each census orbit the nonincreasing sequence p_k along the given
-    decreasing eps_k, plus a census-restricted upper-envelope step (a lower
-    bound for the true envelope: only census measures are inspected)."""
-    rows = []
-    for entry in census.entries:
-        pks = [p_k(census, entry, eps, config) for eps in eps_sequence]
-        rows.append({"orbit": entry.orbit_id, "period": entry.period, "p_k": pks})
-    # envelope step: for each orbit and scale, the max p_k over census
-    # measures within eps_k
-    for row, entry in zip(rows, census.entries):
-        env = []
-        for eps, _ in zip(eps_sequence, row["p_k"]):
-            best = 0.0
-            for other in census.entries:
-                if _census_distance(census, config, other.orbit_id, entry.orbit_id) < eps:
-                    best = max(best, p_k(census, other, eps, config))
-            env.append(best)
-        row["envelope"] = env
-    return rows

@@ -207,16 +207,13 @@ class QuadraticReal:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    # -- floor / frac ----------------------------------------------------
+    # -- floor ----------------------------------------------------------
 
     def floor(self) -> int:
         """Exact floor: A // C, or one isqrt through `floor_surd`."""
         if self.B == 0:
             return self.A // self.C
         return floor_surd(self.A, self.B, self.d, self.C)
-
-    def frac(self) -> "QuadraticReal":
-        return self - self.floor()
 
     def __float__(self) -> float:
         # A / C and B / C are correctly rounded, as float(Fraction) is

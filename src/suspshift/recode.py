@@ -38,7 +38,7 @@ from suspshift.subshifts import (
     topological_entropy,
     word_str,
 )
-from suspshift.suspension import CrossSection, SuspensionFlow, TowerPartition
+from suspshift.suspension import CrossSection, SuspensionFlow
 
 
 class PreconditionFailed(Exception):
@@ -63,49 +63,6 @@ class ConstraintViolated(Exception):
 
 # ---------------------------------------------------------------------------
 # remainder-gap arithmetic
-
-
-@dataclass(frozen=True)
-class GapResult:
-    value: QuadraticReal | None  # None encodes an empty candidate set (D = infinity)
-    k: int | None
-    l: int | None
-
-
-def d_gap(x, p, q, epsilon) -> GapResult:
-    """Minimal x - (k p + l q) >= 0 over integers k >= 0, l >= 1 with
-    1/(1+eps) <= k/l <= 1; exhaustive over the finite candidate set.
-
-    Returns GapResult(None, None, None) when no pair qualifies.
-    """
-    x, p, q = as_qr(x), as_qr(p), as_qr(q)
-    eps = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
-    if p.sign() <= 0 or q.sign() <= 0:
-        raise ValueError("p, q must be positive")
-    if not rationally_independent(p, q):
-        raise ValueError("p, q must be rationally independent")
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    best = None
-    l = 1
-    while (q * l) <= x:
-        # ratio window: l/(1+eps) <= k <= l
-        k_lo = max(0, _ceil_frac(Fraction(l), 1 + eps))
-        for k in range(k_lo, l + 1):
-            rem = x - (p * k + q * l)
-            if rem.sign() < 0:
-                continue
-            if best is None or rem < best[0]:
-                best = (rem, k, l)
-        l += 1
-    if best is None:
-        return GapResult(None, None, None)
-    return GapResult(*best)
-
-
-def _ceil_frac(a: Fraction, b: Fraction) -> int:
-    v = a / b
-    return -((-v.numerator) // v.denominator)
 
 
 def candidate_pairs(t_return, p, q, delta):
@@ -395,11 +352,10 @@ class ChainPoint(PointOracle):
     right, until [lo, hi) is materialized.
     """
 
-    def __init__(self, automaton: AtomAutomaton, rng: random.Random,
-                 seed_atom: int | None = None):
+    def __init__(self, automaton: AtomAutomaton, rng: random.Random):
         self.aut = automaton
         self.rng = rng
-        a0 = seed_atom if seed_atom is not None else rng.randrange(len(automaton.atoms))
+        a0 = rng.randrange(len(automaton.atoms))
         self.chain = [a0]            # atom indices, chain[0] starts at coordinate 0
         self.symbols = list(automaton.atoms[a0].emission)
         self.roofs = list(automaton.atoms[a0].durations)
@@ -475,19 +431,13 @@ class RecodedFlow:
             (Cylinder(a.key, -m - col), t - a.col_bounds[col])
             for a in self.atoms for t, col in zip(a.offsets, a.columns)
         ]
-        return CrossSection(pieces, validity_depth=self.n, meta={"kind": self.kind})
+        return CrossSection(pieces)
 
     def return_class(self, duration) -> str:
         """A piece's class from its exact return time: "p", "q" or "remainder"."""
         if duration == self.layout.p:
             return "p"
         return "q" if duration == self.layout.q else "remainder"
-
-    def tower_partition(self):
-        """The section pieces labeled by their return-time class: the
-        generating partition of the recoded system."""
-        labels = tuple(self.return_class(d) for a in self.atoms for d in a.durations)
-        return TowerPartition(self.section(), labels)
 
     # -- orbit machinery --------------------------------------------------
 

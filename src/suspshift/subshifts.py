@@ -50,21 +50,6 @@ class Cylinder:
     def __len__(self):
         return len(self.word)
 
-    def end(self) -> int:
-        return self.anchor + len(self.word)
-
-
-def cylinders_disjoint(c1: Cylinder, c2: Cylinder) -> bool:
-    """Exact disjointness: the two anchored words disagree somewhere on the
-    overlap of their windows, or one cannot hold with the other (never, if
-    windows are disjoint)."""
-    lo = max(c1.anchor, c2.anchor)
-    hi = min(c1.end(), c2.end())
-    for i in range(lo, hi):
-        if c1.word[i - c1.anchor] != c2.word[i - c2.anchor]:
-            return True
-    return False
-
 
 # ---------------------------------------------------------------------------
 # point oracles
@@ -75,10 +60,6 @@ class PointOracle:
 
     def block(self, i: int, j: int) -> Word:
         raise NotImplementedError
-
-    def symbol(self, i: int) -> int:
-        return self.block(i, i + 1)[0]
-
 
 class PeriodicPoint(PointOracle):
     """Bi-infinite periodic extension of a finite word (period anchored at 0)."""
@@ -349,23 +330,6 @@ class SFT(Subshift):
         lam = max(abs(z) for z in eig)
         return float(math.log(lam))
 
-    def fixed_point_count(self, n: int) -> int:
-        """Exact #Fix(sigma^n) = trace of the vertex adjacency to the n-th
-        power, computed in integer arithmetic."""
-        a = self._adjacency_matrix()
-        k = len(a)
-        if k == 0:
-            return 0
-        p = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        base = a
-        e = n
-        while e:
-            if e & 1:
-                p = _intmat_mul(p, base)
-            base = _intmat_mul(base, base)
-            e >>= 1
-        return sum(p[i][i] for i in range(k))
-
     def periodic_points(self, n: int) -> list:
         """All fixed points of sigma^n, as periodic oracles with period word
         x[0..n)."""
@@ -398,21 +362,6 @@ class SFT(Subshift):
             "alphabet_size": self.alphabet_size,
             "forbidden": [word_str(f) for f in self.forbidden],
         }
-
-
-def _intmat_mul(x, y):
-    k, mid, n2 = len(x), len(y), len(y[0])
-    out = [[0] * n2 for _ in range(k)]
-    for i in range(k):
-        xi = x[i]
-        oi = out[i]
-        for t in range(mid):
-            xt = xi[t]
-            if xt:
-                yt = y[t]
-                for j in range(n2):
-                    oi[j] += xt * yt[j]
-    return out
 
 
 def full_shift(k: int) -> SFT:
@@ -550,18 +499,6 @@ class Sturmian(Subshift):
         state = self.walk(word, (anchor, None))
         return None if state is None else state[1] or (0, 0, self.alpha.C, 0)
 
-    def cylinder_arcs(self, word: Word, anchor: int = 0):
-        """Arcs of phases whose coding matches `word` at `anchor`; exact,
-        returned as a list of non-wrapping [lo, hi) pairs in [0, 1)."""
-        arc = self._cylinder(word, anchor)
-        if arc is None:
-            return []
-        (la, lb, ha, hb), d, C = arc, self.alpha.d, self.alpha.C
-        lo = _make(la, lb, C, d)
-        if sign_surd(ha - C, hb, d) <= 0:
-            return [(lo, _make(ha, hb, C, d))]
-        return [(lo, as_qr(1, d)), (as_qr(0, d), _make(ha - C, hb, C, d))]
-
     def cylinder_measure(self, word: Word, anchor: int = 0) -> QuadraticReal:
         """Mass of the cylinder under the unique invariant measure = total
         arc length (Lebesgue on the circle), exact."""
@@ -618,28 +555,6 @@ class ProductSubshift(Subshift):
             "first": self.first.to_json(),
             "second": self.second.to_json(),
         }
-
-
-# ---------------------------------------------------------------------------
-# verification helpers (used by the test suite and the CLI)
-
-
-def verify_factor_closure(subshift: Subshift, n: int) -> bool:
-    """Every factor of every word in language(n) is again admissible."""
-    lang = {m: subshift.language(m) for m in range(1, n + 1)}
-    for w in lang[n]:
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                if w[i:j] not in lang[j - i]:
-                    return False
-    return True
-
-
-def verify_right_extendability(subshift: Subshift, n: int) -> bool:
-    lang_n = subshift.language(n)
-    lang_next = subshift.language(n + 1)
-    heads = {w[:-1] for w in lang_next}
-    return lang_n <= heads
 
 
 def subshift_from_json(obj: dict) -> Subshift:

@@ -13,13 +13,7 @@ from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, _make, as_qr, sign_surd
 from suspshift.measures import Measure, _xlogx, integrate_locally_constant, sum_exact
-from suspshift.subshifts import (
-    Cylinder,
-    PointOracle,
-    Subshift,
-    Word,
-    cylinders_disjoint,
-)
+from suspshift.subshifts import Cylinder, PointOracle, Subshift, Word
 
 
 class HorizonExceeded(Exception):
@@ -163,20 +157,18 @@ class SectionPiece:
 class CrossSection:
     """Finite union of (anchored cylinder, time offset) pieces.
 
-    The pieces are indexed once by (anchor, word length) and then by word, so
-    `match_at` reads the base window spanned by all pieces once and finds the
-    matching pieces by lookup.  `return_to_section` runs on the section's
-    `ReturnPlan`, built on the first return under a roof and kept with the
-    roof it was built for.
+    The pieces are indexed once by (anchor, word length) and then by word:
+    `_groups` locates each group in the base window [`_lo`, `_hi`) spanned
+    by all pieces.  `return_to_section` runs on the section's `ReturnPlan`,
+    which reads that index; the plan is built on the first return under a
+    roof and kept with the roof it was built for.
     """
 
-    def __init__(self, pieces, validity_depth: int = 0, meta=None):
+    def __init__(self, pieces):
         self.pieces = [
             SectionPiece(c if isinstance(c, Cylinder) else Cylinder(*c), as_qr(o))
             for (c, o) in pieces
         ]
-        self.validity_depth = validity_depth
-        self.meta = meta or {}
         groups = {}
         for k, piece in enumerate(self.pieces):
             c = piece.cylinder
@@ -184,7 +176,8 @@ class CrossSection:
             words.setdefault(tuple(c.word), []).append(k)
         self._lo = min((anchor for anchor, _ in groups), default=0)
         self._hi = max((anchor + n for anchor, n in groups), default=0)
-        # (start, end) of each group inside the window read by match_at
+        # (start, end) of each group inside the window [_lo, _hi), with the
+        # piece indices on each word of the group
         self._groups = [
             (anchor - self._lo, anchor - self._lo + n, words)
             for (anchor, n), words in groups.items()
@@ -193,27 +186,6 @@ class CrossSection:
 
     def __len__(self):
         return len(self.pieces)
-
-    def check_disjoint(self) -> bool:
-        """Equal offsets force disjoint cylinders; distinct offsets are
-        disjoint as subsets of the flow space."""
-        for i, p1 in enumerate(self.pieces):
-            for p2 in self.pieces[i + 1 :]:
-                if p1.offset == p2.offset and not cylinders_disjoint(
-                    p1.cylinder, p2.cylinder
-                ):
-                    return False
-        return True
-
-    def match_at(self, oracle: PointOracle, index: int):
-        """(offset, piece index) for each piece whose cylinder condition holds
-        at base coordinate `index`, in ascending piece index."""
-        window = tuple(oracle.block(index + self._lo, index + self._hi))
-        ks = []
-        for start, end, words in self._groups:
-            ks.extend(words.get(window[start:end], ()))
-        ks.sort()
-        return [(self.pieces[k].offset, k) for k in ks]
 
     def plan(self, roof: Roof) -> "ReturnPlan":
         """The return plan of this section under `roof`: the one kept, if
@@ -263,61 +235,6 @@ class ReturnPlan:
                 if below:
                     groups.append((start + shift, end + shift, below))
             self.columns[w] = (*_pair(r, self.L0), tuple(groups))
-
-
-@dataclass(frozen=True)
-class TowerPartition:
-    """A labeling of the pieces of a cross-section into named atoms; the
-    towers above the atoms partition the flow space."""
-
-    section: CrossSection
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.section.pieces):
-            raise ValueError("labels must cover the pieces exactly")
-
-    def atoms(self) -> dict:
-        out = {}
-        for piece, label in zip(self.section.pieces, self.labels):
-            out.setdefault(label, []).append(piece)
-        return out
-
-
-def base_section(flow_sys: SuspensionFlow) -> CrossSection:
-    """The canonical section base x {0}."""
-    zero = as_qr(0)
-    pieces = [
-        (Cylinder((c,), 0), zero) for c in range(flow_sys.base.alphabet_size)
-        if flow_sys.base.admissible((c,))
-    ]
-    return CrossSection(pieces)
-
-
-def certify_global_section(flow_sys: SuspensionFlow, section: CrossSection,
-                           depth: int):
-    """Empirical globality certificate: every admissible base word of length
-    `depth` supports at least one section piece strictly inside its window,
-    so every orbit hits the section within depth * max(roof).
-
-    Returns that exact flow-time bound, or None when some word escapes (the
-    section is then not certified global at this depth)."""
-    base = flow_sys.base
-    for w in base.language(depth):
-        hit = False
-        for i in range(depth):
-            for piece in section.pieces:
-                c = piece.cylinder
-                lo = i + c.anchor
-                hi = lo + len(c.word)
-                if 0 <= lo and hi <= depth and tuple(w[lo:hi]) == tuple(c.word):
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            return None
-    return flow_sys.roof.max_value * depth
 
 
 def return_to_section(
@@ -392,55 +309,6 @@ def abramov_entropy(h_base: float, roof_integral) -> float:
     if ri <= 0:
         raise ValueError("roof integral must be positive")
     return h_base / ri
-
-
-def theta_slab_mass(flow_sys: SuspensionFlow, measure: Measure, cylinder: Cylinder,
-                    lo, hi):
-    """Exact mass under the normalized product measure of the tower slab
-    {(x, t): x in cylinder, lo <= t < hi}; requires hi <= roof on the slab."""
-    lo, hi = as_qr(lo), as_qr(hi)
-    roof = flow_sys.roof
-    total = None
-    for w in sorted(roof.table):
-        # refine the cylinder by the roof window at coordinate 0
-        joint = _join_cylinder(cylinder, w, roof.m, flow_sys.base)
-        if joint is None:
-            continue
-        mass = measure.mass(joint.word)
-        if mass == 0:
-            continue
-        r = roof.table[w]
-        lo_c = lo if lo > 0 else as_qr(0)
-        hi_c = hi if hi < r else r
-        if lo_c >= hi_c:
-            continue
-        term = mass * (hi_c - lo_c)
-        total = term if total is None else total + term
-    if total is None:
-        return as_qr(0)
-    return total / roof.integral(measure)
-
-
-def _join_cylinder(c: Cylinder, roof_word: Word, m: int, base: Subshift):
-    """Intersect `c` with the roof-window cylinder [-m, m] -> roof_word;
-    returns an anchored cylinder or None if empty.  The result is re-anchored
-    to its own leftmost coordinate."""
-    lo = min(c.anchor, -m)
-    hi = max(c.end(), m + 1)
-    word = []
-    for i in range(lo, hi):
-        a = c.word[i - c.anchor] if c.anchor <= i < c.end() else None
-        b = roof_word[i + m] if -m <= i <= m else None
-        if a is not None and b is not None and a != b:
-            return None
-        v = a if a is not None else b
-        if v is None:
-            raise ValueError(
-                "slab cylinder must form a contiguous window with the roof window"
-            )
-        word.append(v)
-    joint = Cylinder(tuple(word), lo)
-    return joint if base.admissible(joint.word) else None
 
 
 # ---------------------------------------------------------------------------
@@ -658,41 +526,6 @@ def sample_sft_orbit(sft, length: int, rng, start: int = 0) -> FiniteWordOracle:
     drawn `sft.memory` symbols further."""
     walk = SFTWalk(sft, rng)
     return FiniteWordOracle(walk.block(0, length + sft.memory)[:length], start)
-
-
-def occupation_fraction_flow(flow_sys, point: FlowPoint, slabs, duration,
-                             max_shifts: int = 200000):
-    """Exact fraction of [0, duration) the orbit of `point` spends in the
-    union of tower slabs (cylinder, lo, hi)."""
-    duration = as_qr(duration)
-    slabs = [
-        (cyl if isinstance(cyl, Cylinder) else Cylinder(*cyl), as_qr(lo), as_qr(hi))
-        for (cyl, lo, hi) in slabs
-    ]
-    idx, h = point.index, point.height
-    spent = as_qr(0)
-    elapsed = as_qr(0)
-    for _ in range(max_shifts):
-        r = flow_sys.roof_at(point.oracle, idx)
-        seg_end = r if elapsed + (r - h) <= duration else h + (duration - elapsed)
-        for (c, lo, hi) in slabs:
-            blk = tuple(point.oracle.block(idx + c.anchor, idx + c.anchor + len(c.word)))
-            if blk != tuple(c.word):
-                continue
-            lo_c = lo if lo > h else h
-            hi_c = hi if hi < seg_end else seg_end
-            if lo_c < hi_c:
-                spent = spent + (hi_c - lo_c)
-        elapsed = elapsed + (seg_end - h)
-        if elapsed >= duration:
-            return spent / duration
-        idx += 1
-        h = as_qr(0)
-    raise HorizonExceeded("occupation scan exceeded the shift budget")
-
-
-def flow_to_json(flow_sys: SuspensionFlow) -> dict:
-    return {"base": flow_sys.base.to_json(), "roof": flow_sys.roof.to_json()}
 
 
 def flow_from_json(obj: dict) -> SuspensionFlow:

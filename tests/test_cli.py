@@ -90,6 +90,25 @@ def test_marker_failure_emits_error_json(tmp_path, capsys):
     assert "period" in err["precondition"]
 
 
+def _config_error(tmp_path, capsys, path):
+    code = main(["entropy", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    return json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+
+
+def test_non_json_config_emits_error_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    err = _config_error(tmp_path, capsys, bad)
+    assert err["error"] == "JSONDecodeError"
+
+
+def test_missing_config_emits_error_json(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, tmp_path / "missing.json")
+    assert err["error"] == "FileNotFoundError"
+    assert "missing.json" in err["precondition"]
+
+
 def test_recode_two_valued_rejects_rational_dependence(tmp_path, capsys):
     cfg = {"system": ROOT2_FLOW,
            "parameters": {"p": {"a": "1", "b": "0"}, "q": {"a": "1", "b": "0"},

@@ -4,7 +4,9 @@
   definition frac(phase + i*alpha) in [lo, hi), evaluated here with
   QuadraticReal sign tests;
 - the per-point symbol memo of `SturmianPoint.block` against fresh points;
-- the indexed `CrossSection.match_at` against a per-piece scan;
+- `return_to_section` on its integer `ReturnPlan`, whose group index finds
+  the pieces a column lands on, against `_reference_return`, the
+  QuadraticReal loop it replaced, kept here on a per-piece scan;
 - the edge walk of `SFT.language` against filtering all words by
   `admissible`, including the order the words are stored in;
 - the integer breakpoint walk of `Sturmian._language` against the
@@ -30,7 +32,14 @@ from suspshift.subshifts import (
     golden_mean_sft,
     word_str,
 )
-from suspshift.suspension import CrossSection
+from suspshift.suspension import (
+    CrossSection,
+    FlowPoint,
+    NotHit,
+    Roof,
+    SuspensionFlow,
+    return_to_section,
+)
 
 ANGLES = {
     "sqrt2-1": sqrt_d(2) - 1,
@@ -40,6 +49,10 @@ ANGLES = {
 }
 CASES = [(name, conv) for name in ANGLES for conv in ("low", "high")]
 SYSTEMS = {case: Sturmian(ANGLES[case[0]], case[1]) for case in CASES}
+
+
+def frac(x: QuadraticReal) -> QuadraticReal:
+    return x - x.floor()
 
 
 def reference_floor(x: QuadraticReal) -> int:
@@ -78,7 +91,7 @@ def phase_and_index(draw, alpha):
     if kind == "random":
         phase = QuadraticReal(draw(fractions), draw(fractions), alpha.d)
     elif kind == "frac(-i*alpha)":
-        phase = (-i * alpha).frac() + draw(st.integers(-1, 1))
+        phase = frac(-i * alpha) + draw(st.integers(-1, 1))
     elif kind == "alpha":
         phase = alpha
     else:
@@ -103,7 +116,7 @@ def test_symbol_at_on_arc_boundaries(case):
     alpha = sturmian.alpha
     for i in (-10**9, -7, -1, 0, 1, 2, 13, 10**9):
         for target in (qr(0, 0, alpha.d), alpha, 1 - alpha):
-            phase = (target - i * alpha).frac()
+            phase = frac(target - i * alpha)
             expected = reference_symbol(alpha, sturmian.convention, phase, i)
             assert sturmian.symbol_at(phase, i) == expected
 
@@ -154,59 +167,123 @@ def test_memo_overlapping_negative_out_of_order():
 
 
 # ---------------------------------------------------------------------------
-# match_at against a per-piece scan
+# section returns against a per-piece scan
 
 
 def scan_match(section, oracle, index):
+    """(offset, piece index) for each piece whose cylinder holds at base
+    coordinate `index`, in ascending piece index: one read per piece."""
     out = []
     for k, piece in enumerate(section.pieces):
         c = piece.cylinder
-        if tuple(oracle.block(index + c.anchor, index + c.end())) == tuple(c.word):
+        start = index + c.anchor
+        if tuple(oracle.block(start, start + len(c.word))) == tuple(c.word):
             out.append((piece.offset, k))
     return out
 
 
-def test_match_at_on_two_valued_section(two_valued_model):
+def _reference_return(flow_sys, p, section, max_shifts=10000):
+    """The QuadraticReal loop that the integer returns replaced: the roof
+    sum plus the lowest offset matched in a column, above the start height
+    in the first column and below the roof in every one."""
+    idx = p.index
+    col_start = -p.height
+    first = True
+    for _ in range(max_shifts):
+        r = flow_sys.roof_at(p.oracle, idx)
+        hits = scan_match(section, p.oracle, idx)
+        if first:
+            hits = [(off, k) for (off, k) in hits if off > p.height]
+            first = False
+        hits = [(off, k) for (off, k) in hits if off < r]
+        if hits:
+            off, k = min(hits, key=lambda t: t[0])
+            return col_start + off, FlowPoint(p.oracle, idx, off), k
+        col_start = col_start + r
+        idx += 1
+    raise NotHit(f"no return within {max_shifts} base shifts")
+
+
+def _qr_key(v):
+    return v.A, v.B, v.C, v.d
+
+
+def _flow_key(p):
+    return p.index, _qr_key(p.height)
+
+
+def _return_key(out):
+    t, landing, k = out
+    return _qr_key(t), _flow_key(landing), k
+
+
+def _assert_same_chain(fl, p, section, returns, max_shifts=200):
+    """Up to `returns` chained returns from p agree with the reference,
+    down to a NotHit that ends the chain; the last landing, or None."""
+    for _ in range(returns):
+        try:
+            want = _reference_return(fl, p, section, max_shifts)
+        except NotHit:
+            with pytest.raises(NotHit):
+                return_to_section(fl, p, section, max_shifts)
+            return None
+        out = return_to_section(fl, p, section, max_shifts)
+        assert _return_key(out) == _return_key(want)
+        assert out[1].oracle is p.oracle
+        assert out[1].height is section.pieces[out[2]].offset
+        p = out[1]
+    return p
+
+
+def test_section_returns_on_two_valued_section(two_valued_model):
     section = two_valued_model.section()
     assert len(section) == 35
-    base = two_valued_model.flow.base
+    flow = two_valued_model.flow
     rng = random.Random(3)
     hits = 0
     for _ in range(4):
-        x = base.point(qr(Fraction(rng.randrange(10**6), 10**6)))
+        x = flow.base.point(qr(Fraction(rng.randrange(10**6), 10**6)))
         for index in range(-50, 150):
-            got = section.match_at(x, index)
-            assert got == scan_match(section, x, index)
-            hits += bool(got)
+            landing = _assert_same_chain(flow, FlowPoint(x, index, qr(0)), section, 1)
+            hits += landing.index == index
     assert hits > 0
+
+
+# strategies built once: building them inside `mixed_sections` costs more
+# than the returns under test
+OFFSETS = sorted({Fraction(a, b) for b in range(1, 6) for a in range(2 * b + 1)})
+ROOF_VALUES = [qr(1), qr(Fraction(3, 2)), sqrt_d(2)]
+PIECES = {size: st.lists(st.tuples(st.lists(st.integers(0, size - 1), max_size=4),
+                                   st.integers(-4, 4), st.sampled_from(OFFSETS)),
+                         min_size=1, max_size=12)
+          for size in (2, 3)}
+PERIODS = {size: st.lists(st.integers(0, size - 1), min_size=1, max_size=7)
+           for size in (2, 3)}
+ROOFS = {size: st.lists(st.sampled_from(ROOF_VALUES), min_size=size, max_size=size)
+         for size in (2, 3)}
 
 
 @st.composite
 def mixed_sections(draw):
     """Random sections over a small alphabet: mixed anchors and lengths,
-    repeated words with distinct offsets, the occasional empty word."""
-    size = draw(st.integers(2, 3))
-    symbols = st.integers(0, size - 1)
-    pieces = draw(st.lists(
-        st.tuples(st.lists(symbols, min_size=0, max_size=4),
-                  st.integers(-4, 4),
-                  st.fractions(0, 2, max_denominator=5)),
-        min_size=1, max_size=12,
-    ))
+    repeated words with distinct offsets, the occasional empty word; a
+    by-symbol roof from 1, 3/2 and sqrt2 over the full shift."""
+    size = draw(st.sampled_from((2, 3)))
+    pieces = draw(PIECES[size])
     if draw(st.booleans()):
         word, anchor, offset = pieces[0]
         pieces.append((word, anchor, offset + 1))
-    period = draw(st.lists(symbols, min_size=1, max_size=7))
     section = CrossSection([(Cylinder(tuple(w), a), o) for w, a, o in pieces])
-    return section, PeriodicPoint(tuple(period))
+    flow = SuspensionFlow(full_shift(size), Roof.by_symbol(draw(ROOFS[size])))
+    return flow, section, PeriodicPoint(tuple(draw(PERIODS[size])))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=mixed_sections())
-def test_match_at_on_mixed_sections(case):
-    section, oracle = case
+def test_section_returns_on_mixed_sections(case):
+    flow, section, oracle = case
     for index in range(-8, 9):
-        assert section.match_at(oracle, index) == scan_match(section, oracle, index)
+        _assert_same_chain(flow, FlowPoint(oracle, index, qr(0)), section, 1, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +333,8 @@ def reference_language(st_: Sturmian, n: int) -> frozenset:
     tags = {}
     for j in range(n):
         sh = j * st_.alpha
-        tags.setdefault((lo - sh).frac(), []).append((j, 1))
-        tags.setdefault((hi - sh).frac(), []).append((j, 0))
+        tags.setdefault(frac(lo - sh), []).append((j, 1))
+        tags.setdefault(frac(hi - sh), []).append((j, 0))
     pts = sorted(tags)
     word = [st_.symbol_at(pts[0], j) for j in range(n)]
     words = {tuple(word)}
@@ -291,7 +368,7 @@ def test_language_walk_does_no_quadratic_arithmetic(monkeypatch):
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
-                 "__ge__", "__eq__", "__hash__", "sign", "floor", "frac"):
+                 "__ge__", "__eq__", "__hash__", "sign", "floor"):
         monkeypatch.setattr(QuadraticReal, name, counting(name, getattr(QuadraticReal, name)))
     # the counters see operator use and hashing
     assert qr(1) + qr(2) < qr(4) and hash(qr(1)) == hash(1)

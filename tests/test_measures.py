@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from suspshift.quadratic import QuadraticReal, qr, sqrt_d
 from suspshift.measures import (
-    ConvexCombination,
     DMetricConfig,
     EmpiricalMeasure,
     InsufficientData,
     MarkovMeasure,
+    Measure,
     SturmianMeasure,
     bernoulli,
     block_entropy,
@@ -125,6 +125,19 @@ class TestIntegration:
     def test_quadratic_values(self, fair):
         table = {(0,): qr(1), (1,): sqrt_d(2)}
         assert integrate_locally_constant(table, fair) == (1 + sqrt_d(2)) / 2
+
+
+class ConvexCombination(Measure):
+    """t mu + (1 - t) nu."""
+
+    def __init__(self, t, mu: Measure, nu: Measure):
+        self.t = Fraction(t) if not isinstance(t, (Fraction, QuadraticReal)) else t
+        self.mu = mu
+        self.nu = nu
+        self.subshift = mu.subshift
+
+    def mass(self, word):
+        return self.t * self.mu.mass(word) + (1 - self.t) * self.nu.mass(word)
 
 
 class TestDistance:

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from suspshift.quadratic import sqrt_d
-from suspshift.measures import DMetricConfig
-from suspshift.periodic import PeriodicCensus, global_periodic_growth, p_k, u1_table
+from suspshift.measures import DMetricConfig, d_distance
+from suspshift.periodic import PeriodicCensus, _census_distance, global_periodic_growth, p_k
 from suspshift.subshifts import Sturmian, full_shift, golden_mean_sft
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -105,9 +105,36 @@ class TestPk:
     def test_orbit_vs_measure_convention(self, full_census):
         cfg = DMetricConfig(full_shift(2), depth=8)
         entry = next(e for e in full_census.entries if e.period == 4)
-        orbit_count = p_k(full_census, entry, 10.0, cfg, count_measures=False)
-        measure_count = p_k(full_census, entry, 10.0, cfg, count_measures=True)
+        orbit_count = p_k(full_census, entry, 10.0, cfg)
+        # the discrete convention may identify measures: distinct orbits
+        # with one 1-block measure and one period count once
+        close = [o for o in full_census.orbits_up_to(entry.period)
+                 if d_distance(o.measure, entry.measure, cfg).value < 10.0]
+        measures = {tuple(sorted(o.measure._tables[1].items())) + (o.period,) for o in close}
+        measure_count = math.log(max(len(measures), 1)) / entry.period
         assert orbit_count >= measure_count
+
+
+def u1_table(census: PeriodicCensus, eps_sequence, config: DMetricConfig):
+    """For each census orbit the nonincreasing sequence p_k along the given
+    decreasing eps_k, plus a census-restricted upper-envelope step (a lower
+    bound for the true envelope: only census measures are inspected)."""
+    rows = []
+    for entry in census.entries:
+        pks = [p_k(census, entry, eps, config) for eps in eps_sequence]
+        rows.append({"orbit": entry.orbit_id, "period": entry.period, "p_k": pks})
+    # envelope step: for each orbit and scale, the max p_k over census
+    # measures within eps_k
+    for row, entry in zip(rows, census.entries):
+        env = []
+        for eps, _ in zip(eps_sequence, row["p_k"]):
+            best = 0.0
+            for other in census.entries:
+                if _census_distance(census, config, other.orbit_id, entry.orbit_id) < eps:
+                    best = max(best, p_k(census, other, eps, config))
+            env.append(best)
+        row["envelope"] = env
+    return rows
 
 
 def test_u1_estimate_decays(full_census):

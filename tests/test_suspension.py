@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import suspshift.suspension as suspension
-from suspshift.quadratic import QuadraticReal, qr, sqrt_d
+from suspshift.quadratic import QuadraticReal, as_qr, qr, sqrt_d
 from suspshift.measures import SturmianMeasure, bernoulli, parry_measure
 from suspshift.subshifts import Cylinder, PeriodicPoint, Sturmian, full_shift, golden_mean_sft
 from suspshift.suspension import (
@@ -20,22 +20,26 @@ from suspshift.suspension import (
     Roof,
     SuspensionFlow,
     abramov_entropy,
-    base_section,
     flow,
     flow_from_json,
-    flow_to_json,
     induced_entropy_identity,
     kac_expected_return,
     make_flow_point,
-    occupation_fraction_flow,
     orbit_capacity_discrete,
     return_time_distribution,
     return_to_section,
     sample_sft_orbit,
     SFTWalk,
     time_delta_tower_entropy,
-    theta_slab_mass,
 )
+from test_exact_oracles import (
+    _assert_same_chain,
+    _qr_key,
+    _reference_return,
+    _return_key,
+    scan_match,
+)
+from test_subshifts import cylinders_disjoint
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -60,6 +64,111 @@ def unit_flow():
 def mixed_flow():
     # roof 1 over [0], sqrt(2) over [1]
     return SuspensionFlow(full_shift(2), Roof.by_symbol([qr(1), sqrt_d(2)]))
+
+
+# ---------------------------------------------------------------------------
+# references that only the tests use
+
+
+def check_disjoint(section: CrossSection) -> bool:
+    """Equal offsets force disjoint cylinders; distinct offsets are
+    disjoint as subsets of the flow space."""
+    for i, p1 in enumerate(section.pieces):
+        for p2 in section.pieces[i + 1:]:
+            if p1.offset == p2.offset and not cylinders_disjoint(p1.cylinder, p2.cylinder):
+                return False
+    return True
+
+
+def base_section(flow_sys: SuspensionFlow) -> CrossSection:
+    """The canonical section base x {0}."""
+    zero = as_qr(0)
+    return CrossSection([(Cylinder((c,), 0), zero) for c in range(flow_sys.base.alphabet_size)
+                         if flow_sys.base.admissible((c,))])
+
+
+def theta_slab_mass(flow_sys, measure, cylinder: Cylinder, lo, hi):
+    """Exact mass under the normalized product measure of the tower slab
+    {(x, t): x in cylinder, lo <= t < hi}; requires hi <= roof on the slab."""
+    lo, hi = as_qr(lo), as_qr(hi)
+    roof = flow_sys.roof
+    total = None
+    for w in sorted(roof.table):
+        # refine the cylinder by the roof window at coordinate 0
+        joint = _join_cylinder(cylinder, w, roof.m, flow_sys.base)
+        if joint is None:
+            continue
+        mass = measure.mass(joint.word)
+        if mass == 0:
+            continue
+        r = roof.table[w]
+        lo_c = lo if lo > 0 else as_qr(0)
+        hi_c = hi if hi < r else r
+        if lo_c >= hi_c:
+            continue
+        term = mass * (hi_c - lo_c)
+        total = term if total is None else total + term
+    if total is None:
+        return as_qr(0)
+    return total / roof.integral(measure)
+
+
+def _join_cylinder(c: Cylinder, roof_word, m: int, base):
+    """Intersect `c` with the roof-window cylinder [-m, m] -> roof_word;
+    returns an anchored cylinder or None if empty.  The result is re-anchored
+    to its own leftmost coordinate."""
+    end = c.anchor + len(c.word)
+    lo = min(c.anchor, -m)
+    hi = max(end, m + 1)
+    word = []
+    for i in range(lo, hi):
+        a = c.word[i - c.anchor] if c.anchor <= i < end else None
+        b = roof_word[i + m] if -m <= i <= m else None
+        if a is not None and b is not None and a != b:
+            return None
+        v = a if a is not None else b
+        if v is None:
+            raise ValueError(
+                "slab cylinder must form a contiguous window with the roof window"
+            )
+        word.append(v)
+    joint = Cylinder(tuple(word), lo)
+    return joint if base.admissible(joint.word) else None
+
+
+def occupation_fraction_flow(flow_sys, point: FlowPoint, slabs, duration,
+                             max_shifts: int = 200000):
+    """Exact fraction of [0, duration) the orbit of `point` spends in the
+    union of tower slabs (cylinder, lo, hi)."""
+    duration = as_qr(duration)
+    slabs = [
+        (cyl if isinstance(cyl, Cylinder) else Cylinder(*cyl), as_qr(lo), as_qr(hi))
+        for (cyl, lo, hi) in slabs
+    ]
+    idx, h = point.index, point.height
+    spent = as_qr(0)
+    elapsed = as_qr(0)
+    for _ in range(max_shifts):
+        r = flow_sys.roof_at(point.oracle, idx)
+        seg_end = r if elapsed + (r - h) <= duration else h + (duration - elapsed)
+        for (c, lo, hi) in slabs:
+            blk = tuple(point.oracle.block(idx + c.anchor, idx + c.anchor + len(c.word)))
+            if blk != tuple(c.word):
+                continue
+            lo_c = lo if lo > h else h
+            hi_c = hi if hi < seg_end else seg_end
+            if lo_c < hi_c:
+                spent = spent + (hi_c - lo_c)
+        elapsed = elapsed + (seg_end - h)
+        if elapsed >= duration:
+            return spent / duration
+        idx += 1
+        h = as_qr(0)
+    raise HorizonExceeded("occupation scan exceeded the shift budget")
+
+
+def flow_to_json(flow_sys: SuspensionFlow) -> dict:
+    return {"base": flow_sys.base.to_json(), "roof": flow_sys.roof.to_json()}
 
 
 class TestFlowMap:
@@ -134,7 +243,7 @@ class TestSection:
         # the landing really lies on the matched piece
         assert any(
             off == landing.height and idx == k
-            for off, idx in sec.match_at(landing.oracle, landing.index)
+            for off, idx in scan_match(sec, landing.oracle, landing.index)
         )
 
     def test_disjointness_check(self):
@@ -144,8 +253,8 @@ class TestSection:
         bad = CrossSection(
             [(Cylinder((0,), 0), qr(0)), (Cylinder((0, 1), 0), qr(0))]
         )
-        assert good.check_disjoint()
-        assert not bad.check_disjoint()
+        assert check_disjoint(good)
+        assert not check_disjoint(bad)
 
     def test_kac_mean_return_simulated(self, unit_flow):
         # mean return time to [0] x {0} under Bernoulli(1/2) is 1/mu([0]) = 2
@@ -527,60 +636,6 @@ def test_flow_json_round_trip(mixed_flow):
     clone = flow_from_json(flow_to_json(mixed_flow))
     assert clone.roof.table == mixed_flow.roof.table
     assert clone.base.language(3) == mixed_flow.base.language(3)
-
-
-# ---------------------------------------------------------------------------
-# the QuadraticReal loop that the integer returns replaced, kept as the
-# reference
-
-
-def _reference_return(flow_sys, p, section, max_shifts=10000):
-    idx = p.index
-    col_start = -p.height
-    first = True
-    for _ in range(max_shifts):
-        r = flow_sys.roof_at(p.oracle, idx)
-        hits = section.match_at(p.oracle, idx)
-        if first:
-            hits = [(off, k) for (off, k) in hits if off > p.height]
-            first = False
-        hits = [(off, k) for (off, k) in hits if off < r]
-        if hits:
-            off, k = min(hits, key=lambda t: t[0])
-            return col_start + off, FlowPoint(p.oracle, idx, off), k
-        col_start = col_start + r
-        idx += 1
-    raise NotHit(f"no return within {max_shifts} base shifts")
-
-
-def _qr_key(v):
-    return v.A, v.B, v.C, v.d
-
-
-def _flow_key(p):
-    return p.index, _qr_key(p.height)
-
-
-def _return_key(out):
-    t, landing, k = out
-    return _qr_key(t), _flow_key(landing), k
-
-
-def _assert_same_chain(fl, p, section, returns, max_shifts=200):
-    """Up to `returns` chained returns from p agree with the reference,
-    down to a NotHit that ends the chain."""
-    for _ in range(returns):
-        try:
-            want = _reference_return(fl, p, section, max_shifts)
-        except NotHit:
-            with pytest.raises(NotHit):
-                return_to_section(fl, p, section, max_shifts)
-            return
-        out = return_to_section(fl, p, section, max_shifts)
-        assert _return_key(out) == _return_key(want)
-        assert out[1].oracle is p.oracle
-        assert out[1].height is section.pieces[out[2]].offset
-        p = out[1]
 
 
 def _counting(counts, name, fn):
