@@ -55,6 +55,10 @@ from suspshift.periodic import PeriodicCensus, global_periodic_growth, p_k
 from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 
 
+class ConfigError(Exception):
+    """The config is JSON but not of the config's shape."""
+
+
 ERRORS = (
     PreconditionFailed,
     CapacityExceeded,
@@ -405,6 +409,11 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
     except (OSError, ValueError) as err:  # unreadable, or not JSON
         return _error_json(err)
+    if not isinstance(cfg, dict):
+        return _error_json(ConfigError(f"config must be a JSON object, not {type(cfg).__name__}"))
+    for key in ("system", "parameters"):
+        if not isinstance(cfg.get(key, {}), dict):
+            return _error_json(ConfigError(f"config key {key!r} must be a JSON object"))
     chash = _config_hash(cfg, args.seed)
     try:
         files = COMMANDS[args.command](cfg, args.seed, out_dir, chash)

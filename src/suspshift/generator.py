@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from suspshift.quadratic import QuadraticReal, _make, as_qr, sign_surd
+from suspshift.quadratic import QuadraticReal, _make, as_qr, pair_over, sign_surd
 from suspshift.recode import ChainPoint, PreconditionFailed, RecodedFlow
 from suspshift.subshifts import Word, word_str
 
@@ -31,12 +31,6 @@ class NoMarkersFound(Exception):
 
 
 LETTER_P, LETTER_Q, LETTER_A = "P", "Q", "A"
-
-
-def _over(v: QuadraticReal, L: int):
-    """Integers (x, y) with v = (x + y*sqrt(d))/L, for a multiple L of v.C."""
-    s = L // v.C
-    return v.A * s, v.B * s
 
 
 class GeneratorModel:
@@ -131,7 +125,7 @@ class GeneratorModel:
         if h.B and h.d != d:
             raise ValueError(f"mixed radicands {d} and {h.d}")
         L = math.lcm(self.den, h.C)
-        return (*_over(h, L), L, d)
+        return (*pair_over(h, L), L, d)
 
     def _bounds(self, chain: ChainPoint):
         """The chain's offset, and the range [lo, hi] of coordinates whose
@@ -176,7 +170,7 @@ class GeneratorModel:
     def _shifted(self, pt: "ZFlowPoint", k: int) -> "ZFlowPoint":
         """The point phi_{k p}(pt), as one settle from height h + k p."""
         x, y, L, d = self._integer_form(pt.height)
-        px, py = _over(self.p, L)
+        px, py = pair_over(self.p, L)
         coord, x, y = self._settle(pt.chain, pt.coord, x + k * px, y + k * py, L, d)
         return ZFlowPoint(pt.chain, coord, _make(x, y, L, d))
 
@@ -201,8 +195,8 @@ class GeneratorModel:
             raise ValueError("n must be positive")
         chain, settle = pt.chain, self._settle
         x, y, L, d = self._integer_form(pt.height)
-        px, py = _over(self.p, L)
-        ax, ay = _over(self.alpha, L)
+        px, py = pair_over(self.p, L)
+        ax, ay = pair_over(self.alpha, L)
         symbols = chain.symbols
         coord, x, y = settle(chain, pt.coord, x - 2 * n * px, y - 2 * n * py, L, d)
         letters, first = [], None

@@ -257,6 +257,24 @@ def _make(a: int, b: int, c: int, d: int) -> QuadraticReal:
     return x
 
 
+def common_radicand(values, d=None):
+    """The one radicand of the irrational values among `values` and `d`
+    (None when there are none); ValueError when they have two."""
+    for v in values:
+        if v.B and v.d != d:
+            if d is not None:
+                raise ValueError(f"mixed radicands {d} and {v.d}")
+            d = v.d
+    return d
+
+
+def pair_over(v: QuadraticReal, denominator: int):
+    """v as the integers (x, y) of (x + y*sqrt(d))/denominator, for a
+    multiple `denominator` of v.C."""
+    f = denominator // v.C
+    return v.A * f, v.B * f
+
+
 def qr(a, b=0, d: int = 2) -> QuadraticReal:
     """Shorthand constructor."""
     return QuadraticReal(a, b, d)

@@ -11,14 +11,23 @@ emission, separator, range of the last return) live in one layout class:
   marking pattern locating the marker returns in every long window;
 * `NearConstantLayout`: all return times within 2*eps of a target, stepped
   through the numerical semigroup of two consecutive integers over N.
+
+The set-up's arithmetic is on integers.  `candidate_pairs` holds t, p, q
+and delta as pairs (x, y) of (x + y*sqrt(d))/L over one denominator and
+decides each pair with `floor_surd` and `sign_surd`; `_schedule_atom` walks
+offsets and column bounds on such pairs; the marker search keys its
+verdicts on integer roof sums.  Capacity checks read a code's size from the
+closed form `code_size`, and each distinct code builds its rank table once,
+for the code words.  Remainders, offsets and durations are stored as
+QuadraticReals.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from suspshift.markers import (
@@ -29,7 +38,16 @@ from suspshift.markers import (
     kmp_step,
     occurrence_starts,
 )
-from suspshift.quadratic import QuadraticReal, as_qr, rationally_independent
+from suspshift.quadratic import (
+    QuadraticReal,
+    _make,
+    as_qr,
+    common_radicand,
+    floor_surd,
+    pair_over,
+    rationally_independent,
+    sign_surd,
+)
 from suspshift.subshifts import (
     Cylinder,
     PointOracle,
@@ -66,29 +84,64 @@ class ConstraintViolated(Exception):
 
 
 def candidate_pairs(t_return, p, q, delta):
-    """All (k, l, remainder) with k >= 0, l >= 1 and 0 < remainder < delta.
+    """All (k, l, remainder) with k >= 0, l >= 1 and 0 < remainder < delta,
+    by increasing l and, for one l, decreasing k.
 
-    For each l only k near floor((t - lq)/p) can land in (0, delta).
+    On integers: t, p, q and delta are the pairs (x, y) of (x + y*sqrt(d))/L
+    over one denominator L.  For each l only k at or below
+    floor((t - lq)/p) can land in (0, delta); that k is one `floor_surd`
+    of the budget t - lq times p's conjugate over p's norm, and each test
+    of a remainder is one `sign_surd`.  A kept remainder becomes a
+    QuadraticReal with the radicand that QuadraticReal arithmetic gives
+    t - lq - kp: p's after an irrational p-step, else q's or t's.
     """
-    t, p, q, delta = as_qr(t_return), as_qr(p), as_qr(q), as_qr(delta)
+    vals = t, p, q, delta = [as_qr(v) for v in (t_return, p, q, delta)]
+    d = common_radicand(vals) or 0
+    L = math.lcm(*(v.C for v in vals))
+    (tx, ty), (px, py), (qx, qy), (dx, dy) = (pair_over(v, L) for v in vals)
+    # budget/p = budget * (px - py*sqrt(d)) / norm, with the norm made positive
+    norm = px * px - py * py * d
+    cx, cy = (px, -py) if norm > 0 else (-px, py)
+    norm = abs(norm)
+    p_d = p.d if py else None
+    rest_d = q.d if qy else t.d
     out = []
     l = 1
-    while (q * l) <= t:
-        budget = t - q * l
-        k = (budget / p).floor()
+    bx, by = tx - qx, ty - qy  # the budget t - lq
+    while sign_surd(bx, by, d) >= 0:
+        k = floor_surd(bx * cx + by * cy * d, by * cx + bx * cy, d, norm)
+        rx, ry = bx - k * px, by - k * py
         while k >= 0:
-            rem = budget - p * k
-            if rem >= delta:
+            if sign_surd(rx - dx, ry - dy, d) >= 0:
                 break
-            if rem.sign() > 0:
-                out.append((k, l, rem))
+            if sign_surd(rx, ry, d) > 0:
+                out.append((k, l, _make(rx, ry, L, p_d if p_d and k else rest_d)))
             k -= 1
+            rx, ry = rx + px, ry + py
+        bx, by = bx - qx, by - qy
         l += 1
     return out
 
 
 # ---------------------------------------------------------------------------
 # balanced binary codes with rank/unrank
+
+
+def code_size(length: int, ones: int, first_last_one: bool = False,
+              max_run: int | None = None) -> int:
+    """Number of words of the BalancedCode with these arguments, in closed
+    form: C(length, ones); C(length-2, ones-2) with first=last=1; and under
+    a run cap, the ways to spread the zeros over the ones-1 interior gaps
+    with at most max_run in each, by inclusion-exclusion over the gaps
+    that overflow."""
+    if not first_last_one:
+        return math.comb(length, ones)
+    if max_run is None:
+        return math.comb(length - 2, ones - 2)
+    gaps, zeros = ones - 1, length - ones
+    return sum((-1) ** j * math.comb(gaps, j)
+               * math.comb(zeros - j * (max_run + 1) + gaps - 1, gaps - 1)
+               for j in range(min(gaps, zeros // (max_run + 1)) + 1))
 
 
 class BalancedCode:
@@ -98,9 +151,11 @@ class BalancedCode:
     The run cap is only meaningful together with first=last=1 (every zero
     run is then interior, i.e. bracketed by ones).
 
-    Counts come from one table, filled iteratively from the last position
-    back (so any length works), with one flat row per position over the
-    states (ones left, zero run); the run is tracked only under a cap.
+    `count()` is the closed form `code_size` and builds nothing.  Rank and
+    unrank read one table, built on first use, filled iteratively from the
+    last position back (so any length works), with one flat row per
+    position over the states (ones left, zero run); the run is tracked only
+    under a cap.
     """
 
     def __init__(self, length: int, ones: int, first_last_one: bool = False,
@@ -116,7 +171,6 @@ class BalancedCode:
         self.first_last_one = first_last_one
         self.max_run = max_interior_zero_run
         self._runs = 1 if max_interior_zero_run is None else max_interior_zero_run + 1
-        self._rows = self._table()
 
     def satisfies(self, word: Word) -> bool:
         word = tuple(word)
@@ -144,6 +198,10 @@ class BalancedCode:
         place and current trailing zero run `run`."""
         return self._rows[pos][ones_left * self._runs + run]
 
+    @cached_property
+    def _rows(self):
+        return self._table()
+
     def _table(self):
         runs = self._runs
         rows = [None] * self.length + [[1] * runs + [0] * (runs * self.ones)]
@@ -157,7 +215,7 @@ class BalancedCode:
         return rows
 
     def count(self) -> int:
-        return self._suffix_count(0, self.ones, 0)
+        return code_size(self.length, self.ones, self.first_last_one, self.max_run)
 
     def unrank(self, index: int) -> Word:
         if not 0 <= index < self.count():
@@ -648,17 +706,45 @@ def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None) -> R
 def _schedule_atom(atom: MarkerAtom, layout):
     """Offsets, columns and durations of atom.emission.  Every symbol takes
     its layout step except the last, which takes what is left of the return
-    time and must lie in the layout's open `last_range`; all exact."""
-    steps = [layout.steps[sym] for sym in atom.emission[:-1]]
-    atom.offsets = [as_qr(0)]
-    for d in steps:
-        atom.offsets.append(atom.offsets[-1] + d)
-    atom.columns = [bisect_right(atom.col_bounds, t) - 1 for t in atom.offsets]
-    if atom.columns[-1] >= atom.gap:
-        raise InfeasibleSchedule("offset escaped its atom")
-    atom.durations = steps + [atom.t_return - atom.offsets[-1]]
-    lo, hi = layout.last_range
-    if not lo < atom.durations[-1] < hi:
+    time and must lie in the layout's open `last_range`; all exact.
+
+    The walk is on integers: the steps, the column bounds and the range are
+    pairs (x, y) of (x + y*sqrt(d))/L over one denominator L.  The steps are
+    positive, so one pointer climbs the column bounds as the offset grows,
+    one `sign_surd` per move.  Offsets and the last duration are stored as
+    the QuadraticReals that adding the steps from as_qr(0) gives, radicand
+    included."""
+    emission, gap, bounds = atom.emission, atom.gap, atom.col_bounds
+    steps = {sym: as_qr(v) for sym, v in layout.steps.items()}
+    lo, hi = (as_qr(v) for v in layout.last_range)
+    values = [*steps.values(), lo, hi, *bounds]
+    d = common_radicand(values) or 0
+    L = math.lcm(*(v.C for v in values))
+    step_pairs = {sym: pair_over(v, L) for sym, v in steps.items()}
+    bound_pairs = [pair_over(v, L) for v in bounds]
+    ox = oy = col = 0
+    od = 2  # the radicand of as_qr(0), then of the last irrational step
+    atom.offsets, atom.columns = [], []
+    for i, sym in enumerate(emission):
+        while col < gap and sign_surd(bound_pairs[col + 1][0] - ox,
+                                      bound_pairs[col + 1][1] - oy, d) <= 0:
+            col += 1
+        if col == gap:
+            raise InfeasibleSchedule("offset escaped its atom")
+        atom.offsets.append(_make(ox, oy, L, od))
+        atom.columns.append(col)
+        if i < len(emission) - 1:
+            sx, sy = step_pairs[sym]
+            ox, oy = ox + sx, oy + sy
+            if sy:
+                od = steps[sym].d
+    tx, ty = bound_pairs[-1]
+    last_x, last_y = tx - ox, ty - oy
+    atom.durations = [layout.steps[sym] for sym in emission[:-1]]
+    atom.durations.append(_make(last_x, last_y, L, od if oy else atom.t_return.d))
+    (lx, ly), (hx, hy) = pair_over(lo, L), pair_over(hi, L)
+    if not (sign_surd(last_x - lx, last_y - ly, d) > 0
+            and sign_surd(hx - last_x, hy - last_y, d) > 0):
         raise InfeasibleSchedule(
             f"{layout.kind}: last return of atom {atom.index} escaped its range"
         )
@@ -786,8 +872,9 @@ class MarkedBinaryLayout(_CodedLayout):
     def pair(self, t_return, K: int, lang_count: int):
         """The (k, l, remainder) for one return time at this K, or None: the
         first candidate pair, by (remainder, l, k), whose code word has room
-        for the markings and at least lang_count words.  The candidates of
-        a return time are found once on this layout, whatever K asks."""
+        for the markings and at least lang_count words (read from
+        `code_size`, no code is built).  The candidates of a return time are
+        found once on this layout, whatever K asks."""
         t = as_qr(t_return)
         key = (t.A, t.B, t.C)
         if key not in self._candidates:
@@ -800,9 +887,7 @@ class MarkedBinaryLayout(_CodedLayout):
             ones = k - 1
             if zeros > (ones - 1) * (K - 1):
                 continue  # interior runs cannot absorb the zeros
-            code = BalancedCode(ones + zeros, ones, first_last_one=True,
-                                max_interior_zero_run=K - 1)
-            if code.count() >= lang_count:
+            if code_size(ones + zeros, ones, True, K - 1) >= lang_count:
                 return k, l, rem
         return None
 
@@ -942,17 +1027,25 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
     roof: an atom's return time is then the roof sum of its return word, so a
     candidate's exact return words give every atom's (gap, time), asked
     shortest first until one fails.  gap_ok is asked once per distinct
-    (gap, time) in a call, memoised on the time's unique integer form."""
+    (gap, time) in a call, memoised on the gap and the roof sum's integer
+    numerators (x, y) of (x + y*sqrt(d))/L over the roof's one denominator
+    L, unique per exact time; its QuadraticReal is built only on a miss."""
     if flow.roof.m != 0:
         raise PreconditionFailed("gap-driven marker search needs a window-0 roof")
-    table = {w[0]: v for w, v in flow.roof.table.items()}
+    values = flow.roof.table.values()
+    d = common_radicand(values) or 2
+    L = math.lcm(*(v.C for v in values))
+    table = {w[0]: pair_over(v, L) for w, v in flow.roof.table.items()}
     verdicts = {}
 
     def feasible(r):
-        t = sum((v * r.count(c) for c, v in table.items()), as_qr(0))
-        key = (len(r), t.A, t.B, t.C)
+        x = y = 0
+        for c, (vx, vy) in table.items():
+            n = r.count(c)
+            x, y = x + vx * n, y + vy * n
+        key = (len(r), x, y)
         if key not in verdicts:
-            verdicts[key] = gap_ok(len(r), t)
+            verdicts[key] = gap_ok(len(r), _make(x, y, L, d))
         return verdicts[key]
 
     marker = find_marker(flow.base, lambda returns: all(map(feasible, returns)),

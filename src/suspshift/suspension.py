@@ -11,7 +11,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from suspshift.quadratic import QuadraticReal, _make, as_qr, sign_surd
+from suspshift.quadratic import (
+    QuadraticReal,
+    _make,
+    as_qr,
+    common_radicand,
+    pair_over,
+    sign_surd,
+)
 from suspshift.measures import Measure, _xlogx, integrate_locally_constant, sum_exact
 from suspshift.subshifts import Cylinder, PointOracle, Subshift, Word
 
@@ -26,23 +33,6 @@ class NotHit(Exception):
 
 class IncommensurableRoof(Exception):
     pass
-
-
-def _radicand(values, d=None):
-    """The one radicand of the irrational values among `values` and `d`
-    (None when there are none); ValueError when they have two."""
-    for v in values:
-        if v.B and v.d != d:
-            if d is not None:
-                raise ValueError(f"mixed radicands {d} and {v.d}")
-            d = v.d
-    return d
-
-
-def _pair(v: QuadraticReal, denominator: int):
-    """v as the integers (x, y) of (x + y*sqrt(d))/denominator."""
-    f = denominator // v.C
-    return v.A * f, v.B * f
 
 
 class Roof:
@@ -213,12 +203,12 @@ class ReturnPlan:
         self.roof = roof
         offsets = [piece.offset for piece in section.pieces]
         values = [*roof.table.values(), *offsets]
-        self.d = _radicand(values)
+        self.d = common_radicand(values)
         self.L0 = math.lcm(*(v.C for v in values))
         order = sorted(range(len(offsets)), key=lambda k: (offsets[k], k))
         rank = {k: r for r, k in enumerate(order)}
         # by rank: (piece index, offset, its pair over L0)
-        self.ranked = [(k, offsets[k], *_pair(offsets[k], self.L0)) for k in order]
+        self.ranked = [(k, offsets[k], *pair_over(offsets[k], self.L0)) for k in order]
         m = roof.m
         self.lo, self.hi = min(-m, section._lo), max(m + 1, section._hi)
         self.roof_word = slice(-m - self.lo, m + 1 - self.lo)
@@ -234,7 +224,7 @@ class ReturnPlan:
                         below[word] = tuple(ranks)
                 if below:
                     groups.append((start + shift, end + shift, below))
-            self.columns[w] = (*_pair(r, self.L0), tuple(groups))
+            self.columns[w] = (*pair_over(r, self.L0), tuple(groups))
 
 
 def return_to_section(
@@ -256,7 +246,7 @@ def return_to_section(
     roof = flow_sys.roof
     plan = section.plan(roof)
     h = p.height
-    d = _radicand((h,), plan.d)
+    d = common_radicand((h,), plan.d)
     L0, ranked, columns = plan.L0, plan.ranked, plan.columns
     lo, hi, roof_word = plan.lo, plan.hi, plan.roof_word
     oracle = p.oracle

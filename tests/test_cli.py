@@ -3,7 +3,10 @@ import math
 import os
 import tracemalloc
 
-from suspshift.cli import main
+import pytest
+
+from suspshift.cli import COMMANDS, main
+from test_golden import ROOT, RUNS
 
 
 GOLDEN = {"kind": "sft", "alphabet_size": 2, "forbidden": ["11"]}
@@ -107,6 +110,22 @@ def test_missing_config_emits_error_json(tmp_path, capsys):
     err = _config_error(tmp_path, capsys, tmp_path / "missing.json")
     assert err["error"] == "FileNotFoundError"
     assert "missing.json" in err["precondition"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_of_the_wrong_shape_emits_error_json(tmp_path, capsys, command):
+    # JSON that is not an object, or whose system or parameters is not an
+    # object, is refused before any command reads it
+    shipped = json.loads((ROOT / RUNS[command][0]).read_text())
+    bad = [[1], "entropy", 3, None,
+           {**shipped, "system": [1]},
+           {**shipped, "parameters": [1]},
+           {**shipped, "parameters": "n=3"}]
+    for i, config in enumerate(bad):
+        code, _ = run_cli(tmp_path, command, config, name=f"bad{i}.json")
+        assert code == 2, config
+        err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert err["error"] == "ConfigError", config
 
 
 def test_recode_two_valued_rejects_rational_dependence(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import math
@@ -97,6 +98,57 @@ def certify_global_section(flow_sys: SuspensionFlow, section: CrossSection, dept
     return flow_sys.roof.max_value * depth
 
 
+def reference_candidate_pairs(t_return, p, q, delta):
+    """The QuadraticReal loop that `candidate_pairs` replaced: for each l,
+    k steps down from floor((t - lq)/p) while the remainder is below delta."""
+    t, p, q, delta = as_qr(t_return), as_qr(p), as_qr(q), as_qr(delta)
+    out = []
+    l = 1
+    while (q * l) <= t:
+        budget = t - q * l
+        k = (budget / p).floor()
+        while k >= 0:
+            rem = budget - p * k
+            if rem >= delta:
+                break
+            if rem.sign() > 0:
+                out.append((k, l, rem))
+            k -= 1
+        l += 1
+    return out
+
+
+def table_code_size(length, ones, first_last_one=False, max_run=None):
+    """A code's size read from its rank table, as `count()` read it before
+    the closed form."""
+    return BalancedCode(length, ones, first_last_one, max_run)._suffix_count(0, ones, 0)
+
+
+def reference_schedule_atom(atom, layout):
+    """The QuadraticReal schedule that `_schedule_atom` replaced: offsets
+    summed from as_qr(0), columns by bisection in the column bounds."""
+    steps = [layout.steps[sym] for sym in atom.emission[:-1]]
+    atom.offsets = [as_qr(0)]
+    for d in steps:
+        atom.offsets.append(atom.offsets[-1] + d)
+    atom.columns = [bisect.bisect_right(atom.col_bounds, t) - 1 for t in atom.offsets]
+    if atom.columns[-1] >= atom.gap:
+        raise recode.InfeasibleSchedule("offset escaped its atom")
+    atom.durations = steps + [atom.t_return - atom.offsets[-1]]
+    lo, hi = layout.last_range
+    if not lo < atom.durations[-1] < hi:
+        raise recode.InfeasibleSchedule(
+            f"{layout.kind}: last return of atom {atom.index} escaped its range"
+        )
+
+
+def exact_form(x):
+    """A value with its type and exact integer form, radicand included."""
+    if isinstance(x, QuadraticReal):
+        return "QR", x.A, x.B, x.C, x.d
+    return type(x).__name__, x
+
+
 class TestDGap:
     def test_exact_hit(self):
         res = d_gap(1 + sqrt_d(2), qr(1), sqrt_d(2), 1)
@@ -128,6 +180,55 @@ class TestDGap:
         assert (7, 7, 5 * sqrt_d(2) - 7) in pairs
         for k, l, rem in pairs:
             assert qr(0) < rem < qr(Fraction(1, 10))
+
+
+def positive_values(d, top):
+    """Positive a + b*(sqrt(d) - floor(sqrt(d))) with a in [1/2, top] and
+    |b| <= 1 over small denominators, as QuadraticReals of Q[sqrt(d)], or a
+    rational a alone as a Fraction."""
+    frac = sqrt_d(d) - math.isqrt(d)
+    a = st.fractions(Fraction(1, 2), top, max_denominator=6)
+    b = st.one_of(st.just(0), st.fractions(-1, 1, max_denominator=6))
+    surds = st.builds(lambda x, y: x + y * frac, a, b).filter(lambda v: v.sign() > 0)
+    return st.one_of(surds, a)
+
+
+def pair_forms(pairs):
+    return [(k, l, exact_form(rem)) for k, l, rem in pairs]
+
+
+class TestCandidatePairs:
+    """`candidate_pairs` on integer pairs against the QuadraticReal loop it
+    replaced: the same list, in the same order, each remainder in the same
+    exact form (radicand included)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_the_quadratic_loop(self, data):
+        d = data.draw(st.sampled_from([2, 3, 7]), label="d")
+        p = data.draw(positive_values(d, 4), label="p")
+        q = data.draw(positive_values(d, 4), label="q")
+        delta = data.draw(positive_values(d, 2), label="delta")
+        k = data.draw(st.integers(0, 8), label="k")
+        l = data.draw(st.integers(1, 8), label="l")
+        # a free time, and the exact boundaries: remainder 0 at (k, l),
+        # remainder exactly delta at (k, l), and no budget left at l
+        t = data.draw(st.one_of(positive_values(d, 30),
+                                st.sampled_from([p * k + q * l, p * k + q * l + delta, q * l])),
+                      label="t")
+        assert pair_forms(candidate_pairs(t, p, q, delta)) \
+            == pair_forms(reference_candidate_pairs(t, p, q, delta))
+
+    @pytest.mark.parametrize("case", ["remainder 0", "remainder delta", "t = lq"])
+    def test_exact_boundaries_are_left_out(self, case):
+        p, q, delta = qr(1), (1 + sqrt_d(3)) / 2, qr(Fraction(1, 10))
+        t, boundary = {"remainder 0": (p * 5 + q * 3, (5, 3)),
+                       "remainder delta": (p * 5 + q * 3 + delta, (5, 3)),
+                       "t = lq": (q * 4, (0, 4))}[case]
+        pairs = candidate_pairs(t, p, q, delta)
+        assert pair_forms(pairs) == pair_forms(reference_candidate_pairs(t, p, q, delta))
+        assert boundary not in [(k, l) for k, l, _ in pairs]
+        assert all(qr(0) < rem < delta for _, _, rem in pairs)
 
 
 class TestBalancedCode:
@@ -235,6 +336,35 @@ class TestBalancedCode:
             for o in range(ones + 1):
                 for r in range(max_run + 1):
                     assert code._suffix_count(pos, o, r) == completions(pos, o, r)
+
+    @pytest.mark.parametrize("first_last_one,max_run",
+                             [(False, None), (True, None), (True, 1), (True, 2), (True, 3), (True, 4)])
+    def test_closed_form_size_equals_table_and_enumeration(self, first_last_one, max_run):
+        empty = 0
+        for length in range(13):
+            sizes = {}
+            for w in itertools.product((0, 1), repeat=length):
+                if (not first_last_one or (length and w[0] == w[-1] == 1)) \
+                        and (max_run is None or "0" * (max_run + 1) not in word_str(w)):
+                    sizes[sum(w)] = sizes.get(sum(w), 0) + 1
+            for ones in range(2 if first_last_one else 0, length + 1):
+                size = recode.code_size(length, ones, first_last_one, max_run)
+                assert size == BalancedCode(length, ones, first_last_one, max_run).count()
+                assert size == table_code_size(length, ones, first_last_one, max_run)
+                assert size == sizes.get(ones, 0), (length, ones)
+                if max_run is not None and length - ones > (ones - 1) * max_run:
+                    assert size == 0
+                    empty += 1
+        assert (empty > 0) == (max_run is not None)
+
+    @pytest.mark.parametrize("args,size", [((29, 23, True, 1), math.comb(22, 6)),
+                                           ((46, 40, True, 1), math.comb(39, 6))])
+    def test_shipped_code_sizes(self, args, size, marked_model):
+        # with runs of at most one zero, a word is a choice of the gaps
+        # between its ones that hold a zero
+        assert args in marked_model.codes
+        assert recode.code_size(*args) == table_code_size(*args) == size
+        assert marked_model.codes[args].count() == size
 
     @pytest.mark.parametrize("first_last_one", [False, True])
     def test_long_code_needs_no_recursion(self, first_last_one):
@@ -568,6 +698,34 @@ class TestSetupWork:
         assert asked[len(searched):] == atom_times  # the plan asks per atom
         assert len(searched) == len(set(searched)) == 5  # 21 without the memo
 
+    def test_rank_tables_once_per_code(self, monkeypatch):
+        # capacity checks read the closed-form size: the marker search builds
+        # no rank table, and a build one per distinct code, for unrank
+        builds, phase = [], ["build"]
+        real_table = BalancedCode._table
+        real_search = recode.find_marker_with_feasible_gaps
+
+        def counting_table(self):
+            builds.append((phase[0], (self.length, self.ones, self.first_last_one, self.max_run)))
+            return real_table(self)
+
+        def search(*args, **kwargs):
+            phase[0] = "search"
+            try:
+                return real_search(*args, **kwargs)
+            finally:
+                phase[0] = "build"
+
+        monkeypatch.setattr(BalancedCode, "_table", counting_table)
+        monkeypatch.setattr(instances, "find_marker_with_feasible_gaps", search)
+        rf = build_marked_binary_instance()
+        assert [ph for ph, _ in builds] == ["build"] * len(rf.codes) == ["build"] * 2
+        assert sorted(args for _, args in builds) == sorted(rf.codes)
+        builds.clear()
+        rf = build_two_valued_instance()
+        assert list(rf.codes) == [(14, 7)]
+        assert builds == [("build", (14, 7, False, None))]
+
     def test_verdict_times_are_return_word_sums(self, monkeypatch):
         # every time the search hands to gap_ok is the exact roof sum of one
         # of the candidate's return words, whose length is the gap
@@ -621,6 +779,62 @@ class TestSetupWork:
                 "scan_depth": 420,
                 "gap_counts": {str(g): c for g, c in sorted(spec.gap_counts.items())},
             }
+
+
+def _marked_binary(angle, roof, q):
+    flow = SuspensionFlow(Sturmian(angle), Roof.constant(roof))
+    return lambda: build_marked_binary_instance(flow=flow, p=qr(1), q=q, delta=q - 1)
+
+
+def _two_valued(angle, roof, q):
+    flow = SuspensionFlow(Sturmian(angle), Roof.constant(roof))
+    return lambda: build_two_valued_instance(flow=flow, p=qr(1), q=q)
+
+
+def _near_constant(angle, roof):
+    flow = SuspensionFlow(Sturmian(angle), Roof.constant(roof))
+    marker = build_marker(flow.base, n=26, max_word_len=20, depth=200)
+    return lambda: recode_near_constant(flow, marker, Fraction(1, 4), target_a=Fraction(3, 2))
+
+
+# the shipped builds, the generator's other marked-binary instances, the
+# sqrt7-2 two-valued instance, and a near-constant build whose rational
+# offsets meet a sqrt3 return time
+INSTANCE_BUILDS = {
+    "near-constant sqrt3-1": _near_constant(sqrt_d(3) - 1, sqrt_d(3)),
+    "marked-binary sqrt2-1": _marked_binary(sqrt_d(2) - 1, sqrt_d(2), sqrt_d(2)),
+    "marked-binary sqrt3-1": _marked_binary(sqrt_d(3) - 1, sqrt_d(3), (1 + sqrt_d(3)) / 2),
+    "marked-binary sqrt7-2": _marked_binary(sqrt_d(7) - 2, sqrt_d(7), sqrt_d(7) - Fraction(3, 2)),
+    "two-valued sqrt2-1": _two_valued(sqrt_d(2) - 1, sqrt_d(2), sqrt_d(2)),
+    "two-valued sqrt7-2": _two_valued(sqrt_d(7) - 2, sqrt_d(7), sqrt_d(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCE_BUILDS))
+def test_setup_equals_the_quadratic_reference(name, monkeypatch):
+    # the same build with the QuadraticReal pair loop, table-read code sizes
+    # and the QuadraticReal schedule must give every atom the same pair,
+    # code, code word, offsets and durations, in the same exact forms
+    rf = INSTANCE_BUILDS[name]()
+    monkeypatch.setattr(recode, "candidate_pairs", reference_candidate_pairs)
+    monkeypatch.setattr(recode, "code_size", table_code_size)
+    monkeypatch.setattr(recode, "_schedule_atom", reference_schedule_atom)
+    ref = INSTANCE_BUILDS[name]()
+    assert rf.marker.word == ref.marker.word
+    assert list(rf.codes) == list(ref.codes)
+    assert len(rf.atoms) == len(ref.atoms) > 1
+    for a, b in zip(rf.atoms, ref.atoms):
+        assert (a.k, a.l, exact_form(a.remainder)) == (b.k, b.l, exact_form(b.remainder))
+        args = rf.layout.code_args(a)
+        assert args == ref.layout.code_args(b)
+        if args is not None:
+            assert a.code_word == b.code_word \
+                == ref.codes[args].unrank(ref.n_words.index(a.n_word))
+        assert a.emission == b.emission
+        assert a.columns == b.columns
+        assert list(map(exact_form, a.offsets)) == list(map(exact_form, b.offsets))
+        assert list(map(exact_form, a.durations)) == list(map(exact_form, b.durations))
+    assert rf.to_json() == ref.to_json()
 
 
 @pytest.mark.parametrize("model", ["two_valued_model", "marked_model"])
