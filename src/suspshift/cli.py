@@ -412,7 +412,9 @@ def main(argv=None) -> int:
     if not isinstance(cfg, dict):
         return _error_json(ConfigError(f"config must be a JSON object, not {type(cfg).__name__}"))
     for key in ("system", "parameters"):
-        if not isinstance(cfg.get(key, {}), dict):
+        if key not in cfg:
+            return _error_json(ConfigError(f"config has no {key!r} key"))
+        if not isinstance(cfg[key], dict):
             return _error_json(ConfigError(f"config key {key!r} must be a JSON object"))
     chash = _config_hash(cfg, args.seed)
     try:

@@ -8,10 +8,20 @@ subshift.  `return_words` lists the return words exactly, walking the right
 extensions of w by each subshift's exact `walk_step`; coverage is an
 exhaustive scan of language(K + len(w)).  `return_spectrum` counts gaps
 across language(depth): a statistic, computed when a certificate is written.
+
+The marker search walks only some candidates.  When `walk_step` gives the
+word w exactly one right extension c, every occurrence of w is followed by
+c, so w + (c,) occurs exactly where w does and has the same return words
+(Durand, 1998); the depth bound then costs one more symbol, so the child's
+return words are w's while len(w) + 1 + max_gap <= depth, else None, and
+None when w's are None.  On a Sturmian base only one word of each length
+has two right extensions (Vuillon, 2001), so almost every candidate
+inherits its parent's return words, and with them its verdict.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from suspshift.subshifts import Subshift, Word, word_str
@@ -187,6 +197,29 @@ def _periodic_witness(subshift: Subshift, n: int):
     return None
 
 
+def candidate_returns(subshift: Subshift, max_word_len: int, depth: int):
+    """(word, return words) for every word of lengths 1..max_word_len, by
+    increasing length and then lexicographically; the return words are those
+    of `return_words(subshift, word, depth)`.  Only the children of a word
+    with two or more right extensions are walked: the one child of any other
+    word inherits that word's return words (or None), by the rule in the
+    module docstring."""
+    parents = {}  # the last level's words -> their return words
+    for level in subshift.levels(max_word_len):
+        extensions = Counter(w[:-1] for w, _ in level)
+        current = {}
+        for w, state in level:
+            if extensions[w[:-1]] == 1 and w[:-1] in parents:
+                returns = parents[w[:-1]]
+                if returns is not None and len(w) + len(returns[-1]) > depth:
+                    returns = None
+            else:
+                returns = return_words(subshift, w, depth, state)
+            current[w] = returns
+            yield w, returns
+        parents = current
+
+
 def find_marker(subshift: Subshift, accept, max_word_len: int, depth: int,
                 n: int | None = None) -> MarkerSet | None:
     """The first word, by increasing length and then lexicographically, whose
@@ -195,17 +228,27 @@ def find_marker(subshift: Subshift, accept, max_word_len: int, depth: int,
     return), or None.  No smaller K covers (the max_gap - 2 + len(word)
     symbols after an occurrence that opens a longest gap hold none), and with
     bounded returns a longer marker-free word would extend to a point with a
-    marker-free half-line, so no larger K covers either."""
-    for level in subshift.levels(max_word_len):
-        for w, state in level:
-            returns = return_words(subshift, w, depth, state)
-            if not returns or not accept(returns):
-                continue
-            k = len(returns[-1]) - 1
-            if verify_coverage(subshift, w, k):
-                shortest = len(returns[0])
-                return MarkerSet(w, shortest if n is None else n, shortest, k, depth,
-                                 returns, subshift)
+    marker-free half-line, so no larger K covers either.
+
+    The return words come from `candidate_returns`, which walks only the
+    children of right-special words (two or more right extensions); a word
+    with one right extension hands its return words to its child.  `accept`
+    reads the return words alone, so it is asked once per distinct list: a
+    child whose parent failed fails too.  Coverage is checked for every word
+    that passes."""
+    verdicts = {}
+    for w, returns in candidate_returns(subshift, max_word_len, depth):
+        if not returns:
+            continue
+        if returns not in verdicts:
+            verdicts[returns] = accept(returns)
+        if not verdicts[returns]:
+            continue
+        k = len(returns[-1]) - 1
+        if verify_coverage(subshift, w, k):
+            shortest = len(returns[0])
+            return MarkerSet(w, shortest if n is None else n, shortest, k, depth,
+                             returns, subshift)
     return None
 
 

@@ -16,10 +16,9 @@ The set-up's arithmetic is on integers.  `candidate_pairs` holds t, p, q
 and delta as pairs (x, y) of (x + y*sqrt(d))/L over one denominator and
 decides each pair with `floor_surd` and `sign_surd`; `_schedule_atom` walks
 offsets and column bounds on such pairs; the marker search keys its
-verdicts on integer roof sums.  Capacity checks read a code's size from the
-closed form `code_size`, and each distinct code builds its rank table once,
-for the code words.  Remainders, offsets and durations are stored as
-QuadraticReals.
+verdicts on integer roof sums.  A code's size, rank and unrank read closed
+form completion counts (`code_size`); no table is built.  Remainders,
+offsets and durations are stored as QuadraticReals.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from suspshift.markers import (
@@ -127,21 +125,29 @@ def candidate_pairs(t_return, p, q, delta):
 # balanced binary codes with rank/unrank
 
 
+def _spreads(zeros: int, gaps: int, first_cap: int | None, cap: int | None) -> int:
+    """Ways to put `zeros` zeros into `gaps` >= 1 ordered gaps with at most
+    first_cap in the first gap and at most cap in each other one (None: no
+    cap), by inclusion-exclusion over the gaps that overflow."""
+    total = 0
+    for sign, lead in ((1, 0),) if first_cap is None else ((1, 0), (-1, first_cap + 1)):
+        for j in range(1 if cap is None else gaps):
+            z = zeros - lead - j * (0 if cap is None else cap + 1)
+            if z < 0:
+                break
+            total += (-1) ** j * sign * math.comb(gaps - 1, j) * math.comb(z + gaps - 1, gaps - 1)
+    return total
+
+
 def code_size(length: int, ones: int, first_last_one: bool = False,
               max_run: int | None = None) -> int:
     """Number of words of the BalancedCode with these arguments, in closed
-    form: C(length, ones); C(length-2, ones-2) with first=last=1; and under
-    a run cap, the ways to spread the zeros over the ones-1 interior gaps
-    with at most max_run in each, by inclusion-exclusion over the gaps
-    that overflow."""
+    form: C(length, ones); with first=last=1, the ways to spread the zeros
+    over the ones-1 interior gaps, C(length-2, ones-2) without a run cap and
+    at most max_run in each gap under one."""
     if not first_last_one:
         return math.comb(length, ones)
-    if max_run is None:
-        return math.comb(length - 2, ones - 2)
-    gaps, zeros = ones - 1, length - ones
-    return sum((-1) ** j * math.comb(gaps, j)
-               * math.comb(zeros - j * (max_run + 1) + gaps - 1, gaps - 1)
-               for j in range(min(gaps, zeros // (max_run + 1)) + 1))
+    return _spreads(length - ones, ones - 1, max_run, max_run)
 
 
 class BalancedCode:
@@ -151,11 +157,10 @@ class BalancedCode:
     The run cap is only meaningful together with first=last=1 (every zero
     run is then interior, i.e. bracketed by ones).
 
-    `count()` is the closed form `code_size` and builds nothing.  Rank and
-    unrank read one table, built on first use, filled iteratively from the
-    last position back (so any length works), with one flat row per
-    position over the states (ones left, zero run); the run is tracked only
-    under a cap.
+    Nothing is tabulated.  `count()` is the closed form `code_size`, and
+    rank and unrank walk the word once, reading each completion count in
+    closed form as well: with first=last=1 the zeros left go into the gaps
+    before each 1 left, the first gap continuing the current zero run.
     """
 
     def __init__(self, length: int, ones: int, first_last_one: bool = False,
@@ -170,7 +175,6 @@ class BalancedCode:
         self.ones = ones
         self.first_last_one = first_last_one
         self.max_run = max_interior_zero_run
-        self._runs = 1 if max_interior_zero_run is None else max_interior_zero_run + 1
 
     def satisfies(self, word: Word) -> bool:
         word = tuple(word)
@@ -196,23 +200,16 @@ class BalancedCode:
     def _suffix_count(self, pos: int, ones_left: int, run: int) -> int:
         """Number of valid completions from `pos` with `ones_left` ones to
         place and current trailing zero run `run`."""
-        return self._rows[pos][ones_left * self._runs + run]
-
-    @cached_property
-    def _rows(self):
-        return self._table()
-
-    def _table(self):
-        runs = self._runs
-        rows = [None] * self.length + [[1] * runs + [0] * (runs * self.ones)]
-        for pos in range(self.length - 1, -1, -1):
-            # the run after a 0 at pos, per current run (None: no 0 here)
-            zs = [self._allowed(pos, 0, 0, r) for r in range(runs)]
-            nxt = rows[pos + 1]
-            rows[pos] = [(nxt[(o - 1) * runs] if o else 0)
-                         + (nxt[o * runs + z] if z is not None else 0)
-                         for o in range(self.ones + 1) for z in zs]
-        return rows
+        rest = self.length - pos
+        if not self.first_last_one:
+            return math.comb(rest, ones_left)
+        if not ones_left:  # the last symbol is a 1
+            return int(rest == 0)
+        if pos == 0:
+            first_cap = 0  # the first symbol is a 1
+        else:  # the first gap continues the current zero run
+            first_cap = None if self.max_run is None else self.max_run - run
+        return _spreads(rest - ones_left, ones_left, first_cap, self.max_run)
 
     def count(self) -> int:
         return code_size(self.length, self.ones, self.first_last_one, self.max_run)
@@ -223,19 +220,18 @@ class BalancedCode:
         word = []
         ones_left, run = self.ones, 0
         for pos in range(self.length):
-            for c in (0, 1):
-                new_run = self._allowed(pos, c, ones_left, run)
-                if new_run is None:
-                    continue
-                cnt = self._suffix_count(pos + 1, ones_left - c, new_run)
-                if index < cnt:
-                    word.append(c)
-                    ones_left -= c
-                    run = new_run
-                    break
-                index -= cnt
+            # the words with a 0 here rank first; index < count leaves a 1
+            # room whenever it passes them
+            z = self._allowed(pos, 0, ones_left, run)
+            below = 0 if z is None else self._suffix_count(pos + 1, ones_left, z)
+            if index < below:
+                word.append(0)
+                run = z
             else:
-                raise IndexOutOfRange("unrank walked off the code")
+                index -= below
+                word.append(1)
+                ones_left -= 1
+                run = 0
         return tuple(word)
 
     def rank(self, word: Word) -> int:
@@ -323,14 +319,17 @@ def build_atoms(flow: SuspensionFlow, marker: MarkerSet, n: int):
 
 def atom_transitions(flow: SuspensionFlow, atoms):
     """successors[i] = indices j such that atom j can follow atom i, certified
-    by exact admissibility of the merged base word."""
+    by exact admissibility of the merged base word: a's key is walked once,
+    and each candidate b only over the tail it adds."""
+    base = flow.base
     succ = {a.index: [] for a in atoms}
     for a in atoms:
         # b's key starts a.gap coordinates after a's and overlaps its tail
         overlap = len(a.key) - a.gap
+        state = base.walk(a.key, base.walk_root)
         for b in atoms:
             if (a.key[a.gap:] == b.key[:overlap]
-                    and flow.base.admissible(a.key + b.key[overlap:])):
+                    and base.walk(b.key[overlap:], state) is not None):
                 succ[a.index].append(b.index)
     for a in atoms:
         if not succ[a.index]:
@@ -795,6 +794,7 @@ class TwoValuedLayout(_CodedLayout):
         if not as_qr(0) < self.delta < min(self.p, self.q):
             raise PreconditionFailed("need 0 < delta < min(p, q)")
         self.last_range = (as_qr(0), self.delta)
+        self._pairs = {}  # exact return time -> its pair, or None
 
     def pair(self, t_return):
         """Smallest-remainder (k, l, remainder, relaxed) with
@@ -802,8 +802,17 @@ class TwoValuedLayout(_CodedLayout):
         l/(k+l+1) <= 1/2 + eps, or None.
 
         Pairs meeting the stricter ratio 1/(1+eps) <= k/l are preferred; when
-        only the frequency guard can be met the relaxation is flagged.
+        only the frequency guard can be met the relaxation is flagged.  Each
+        exact return time is decided once on this layout, so the marker
+        search and the plan share the verdicts.
         """
+        t = as_qr(t_return)
+        key = (t.A, t.B, t.C)
+        if key not in self._pairs:
+            self._pairs[key] = self._pair(t)
+        return self._pairs[key]
+
+    def _pair(self, t_return):
         eps = self.eps
         strict, relaxed = [], []
         for k, l, rem in candidate_pairs(t_return, self.p, self.q, self.delta):
@@ -852,7 +861,9 @@ class MarkedBinaryLayout(_CodedLayout):
     and ends with 1 and has zero runs below K, then 0^(M+K) 1 0^K, whose
     last q-step absorbs the remainder.  The marking pattern 0^(M+K) 1 0^K 1
     then occurs exactly across atom boundaries and separates the atoms of a
-    Z-window.  K is the first of `ks` that schedules every atom."""
+    Z-window.  K is the first of `ks` that schedules every atom.  Each exact
+    return time gets its candidate pairs once on this layout, for the marker
+    search and the plan alike."""
 
     kind = "marked-binary"
     alphabet_size = 2
@@ -891,10 +902,10 @@ class MarkedBinaryLayout(_CodedLayout):
                 return k, l, rem
         return None
 
-    def feasible(self, t_return, lang_count: int) -> bool:
+    def feasible(self, t_return, lang_count: int, ks) -> bool:
         """Whether some K in ks schedules t_return with room for lang_count
         code words (its candidate pairs are found once for every K)."""
-        return any(self.pair(t_return, K, lang_count) is not None for K in self.ks)
+        return any(self.pair(t_return, K, lang_count) is not None for K in ks)
 
     def plan(self, atoms, lang_count: int):
         for K in self.ks:
@@ -993,18 +1004,19 @@ class NearConstantLayout:
 # the three constructions
 
 
-def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, p, q, epsilon, delta,
+def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, layout: TwoValuedLayout,
                n: int | None = None) -> RecodedFlow:
-    """Return times exactly p, exactly q, or in (0, delta)."""
-    return _recode(flow, marker, TwoValuedLayout(p, q, epsilon, delta), n)
+    """Return times exactly p, exactly q, or in (0, delta), by `layout`,
+    whose pairs the marker search may already have found."""
+    return _recode(flow, marker, layout, n)
 
 
-def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, p, q, M: int, delta,
-               n: int | None = None, K: int | None = None, k_max: int = 8) -> RecodedFlow:
-    """Return times exactly p or in (q, q + delta), at the given K or the
-    first K in 2..k_max that schedules every atom."""
-    ks = [K] if K is not None else range(2, k_max + 1)
-    return _recode(flow, marker, MarkedBinaryLayout(p, q, M, delta, ks), n)
+def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, layout: MarkedBinaryLayout,
+               n: int | None = None) -> RecodedFlow:
+    """Return times exactly p or in (q, q + delta), at the first of the
+    layout's ks that schedules every atom; the layout keeps the candidate
+    pairs the marker search found."""
+    return _recode(flow, marker, layout, n)
 
 
 def recode_near_constant(flow: SuspensionFlow, marker: MarkerSet, epsilon,

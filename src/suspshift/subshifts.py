@@ -124,8 +124,11 @@ class Subshift:
         """The state after reading `word` from `state`, or None if some
         extension is not admissible."""
         for c in word:
-            state = dict(self.walk_step(state)).get(c)
-            if state is None:
+            for sym, nxt in self.walk_step(state):
+                if sym == c:
+                    state = nxt
+                    break
+            else:
                 return None
         return state
 

@@ -128,6 +128,21 @@ def test_config_of_the_wrong_shape_emits_error_json(tmp_path, capsys, command):
         assert err["error"] == "ConfigError", config
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_without_a_top_level_key_emits_config_error(tmp_path, capsys, command):
+    # a shipped config with `system` or `parameters` dropped is refused
+    # before any command reads it, by an error that names the key
+    shipped = json.loads((ROOT / RUNS[command][0]).read_text())
+    assert {"system", "parameters"} <= set(shipped)
+    for key in ("system", "parameters"):
+        config = {k: v for k, v in shipped.items() if k != key}
+        code, _ = run_cli(tmp_path, command, config, name=f"no-{key}.json")
+        assert code == 2
+        err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert err["error"] == "ConfigError"
+        assert repr(key) in err["precondition"]
+
+
 def test_recode_two_valued_rejects_rational_dependence(tmp_path, capsys):
     cfg = {"system": ROOT2_FLOW,
            "parameters": {"p": {"a": "1", "b": "0"}, "q": {"a": "1", "b": "0"},

@@ -1,14 +1,18 @@
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from suspshift import markers
+from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 from suspshift.quadratic import sqrt_d
 from suspshift.measures import SturmianMeasure
 from suspshift.markers import (
     MarkerSet,
     NoMarkerFound,
     build_marker,
+    candidate_returns,
     occurrence_starts,
     return_spectrum,
     return_words,
@@ -174,3 +178,72 @@ class TestReturnWords:
     def test_inadmissible_word_rejected(self, sturmian):
         with pytest.raises(ValueError):
             return_words(sturmian, parse_word("11"), 50)
+
+
+# every angle in both conventions, the golden-mean SFT, and a memory-2 SFT on
+# three symbols: 0 and 1 alternate with 2, and 0 2 0 is forbidden
+INHERITANCE_BASES = {
+    **{f"{name}-{convention}": (lambda a=angle, c=convention: Sturmian(a, c))
+       for angle, name in zip(ANGLES, ["sqrt2-1", "sqrt3-1", "golden", "sqrt7-2"])
+       for convention in ("low", "high")},
+    "golden-mean-sft": golden_mean_sft,
+    "memory2-sft": lambda: SFT(3, forbidden=[(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2, 0)]),
+}
+
+
+def inherited_words(subshift, max_len):
+    """The words of lengths 2..max_len whose prefix has one right extension."""
+    out = []
+    for level in subshift.levels(max_len):
+        extensions = Counter(w[:-1] for w, _ in level)
+        out += [w for w, _ in level if len(w) > 1 and extensions[w[:-1]] == 1]
+    return out
+
+
+class TestInheritedReturnWords:
+    """The marker search walks only the children of right-special words; a
+    child of any other word takes its parent's return words, or None when
+    len(parent) + 1 + max_gap > depth.  Every word the search sees must get
+    what a fresh walk gives."""
+
+    @pytest.mark.parametrize("name", sorted(INHERITANCE_BASES))
+    def test_search_returns_equal_fresh_walks(self, name):
+        base = INHERITANCE_BASES[name]()
+        inherited = inherited_words(base, 14)
+        assert inherited
+        for depth in (40, 60, 120):
+            seen = dict(candidate_returns(base, 14, depth))
+            assert len(seen) == sum(base.count(n) for n in range(1, 15))
+            for w, returns in seen.items():
+                assert returns == return_words(base, w, depth), (w, depth)
+
+    @pytest.mark.parametrize("name", [n for n in sorted(INHERITANCE_BASES) if n != "golden-mean-sft"])
+    def test_depth_boundary(self, name):
+        # every depth up to 40: a child whose parent's return words fit
+        # (len(parent) + max_gap <= depth) but its own do not must get None
+        base = INHERITANCE_BASES[name]()
+        inherited = inherited_words(base, 14)
+        boundary = 0
+        for depth in range(2, 41):
+            seen = dict(candidate_returns(base, 14, depth))
+            for w in inherited:
+                assert seen[w] == return_words(base, w, depth), (w, depth)
+                boundary += seen[w[:-1]] is not None and seen[w] is None
+        assert boundary > 0
+
+    @pytest.mark.parametrize("build,walks", [(build_marked_binary_instance, 23),
+                                             (build_two_valued_instance, 10)])
+    def test_search_walks_only_right_special_children(self, build, walks, monkeypatch):
+        # the shipped searches walked 78 and 20 candidates when every
+        # candidate was walked; the marker is the same either way
+        calls = []
+        real = markers.return_words
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(markers, "return_words", counting)
+        rf = build()
+        assert len(calls) == len(set(calls)) == walks
+        assert rf.marker.returns == real(rf.flow.base, rf.marker.word, rf.marker.scan_depth)

@@ -20,6 +20,7 @@ from suspshift.recode import (
     ConstraintViolated,
     IndexOutOfRange,
     PreconditionFailed,
+    TwoValuedLayout,
     candidate_pairs,
     find_marker_with_feasible_gaps,
     recode_near_constant,
@@ -118,10 +119,49 @@ def reference_candidate_pairs(t_return, p, q, delta):
     return out
 
 
+def reference_table(code):
+    """The rank table `BalancedCode` read its completion counts from before
+    they became closed form: filled iteratively from the last position
+    back, one flat row per position over the states (ones left, zero run).
+    Returns (rows, runs); the count at (pos, ones_left, run) is
+    rows[pos][ones_left * runs + run]."""
+    runs = 1 if code.max_run is None else code.max_run + 1
+    rows = [None] * code.length + [[1] * runs + [0] * (runs * code.ones)]
+    for pos in range(code.length - 1, -1, -1):
+        # the run after a 0 at pos, per current run (None: no 0 here)
+        zs = [code._allowed(pos, 0, 0, r) for r in range(runs)]
+        nxt = rows[pos + 1]
+        rows[pos] = [(nxt[(o - 1) * runs] if o else 0)
+                     + (nxt[o * runs + z] if z is not None else 0)
+                     for o in range(code.ones + 1) for z in zs]
+    return rows, runs
+
+
 def table_code_size(length, ones, first_last_one=False, max_run=None):
     """A code's size read from its rank table, as `count()` read it before
     the closed form."""
-    return BalancedCode(length, ones, first_last_one, max_run)._suffix_count(0, ones, 0)
+    rows, runs = reference_table(BalancedCode(length, ones, first_last_one, max_run))
+    return rows[0][ones * runs]
+
+
+def table_unrank(code, table, index):
+    """Unrank as `BalancedCode` did with its table (`reference_table(code)`):
+    at each position try 0, then 1, against the completion counts."""
+    rows, runs = table
+    word, ones_left, run = [], code.ones, 0
+    for pos in range(code.length):
+        for c in (0, 1):
+            new_run = code._allowed(pos, c, ones_left, run)
+            if new_run is None:
+                continue
+            cnt = rows[pos + 1][(ones_left - c) * runs + new_run]
+            if index < cnt:
+                word.append(c)
+                ones_left -= c
+                run = new_run
+                break
+            index -= cnt
+    return tuple(word)
 
 
 def reference_schedule_atom(atom, layout):
@@ -332,10 +372,39 @@ class TestBalancedCode:
             return total
 
         assert code.count() == completions(0, ones, 0) > 0
+        rows, runs = reference_table(code)
         for pos in range(length + 1):
             for o in range(ones + 1):
                 for r in range(max_run + 1):
                     assert code._suffix_count(pos, o, r) == completions(pos, o, r)
+                    assert rows[pos][o * runs + r] == completions(pos, o, r)
+
+    @pytest.mark.parametrize("max_run", [None, 1, 2, 3, 4])
+    def test_closed_form_walk_equals_the_table_walk(self, max_run):
+        # every index of every code shape up to length 12: the closed-form
+        # unrank gives the word the table walk gave, and rank inverts it
+        shapes = 0
+        for length in range(13):
+            for first_last_one in ([True] if max_run else [False, True]):
+                for ones in range(2 if first_last_one else 0, length + 1):
+                    code = BalancedCode(length, ones, first_last_one, max_run)
+                    table = reference_table(code)
+                    for i in range(code.count()):
+                        word = code.unrank(i)
+                        assert word == table_unrank(code, table, i)
+                        assert code.rank(word) == i
+                    shapes += 1
+        assert shapes > 60
+
+    @pytest.mark.parametrize("args", [(29, 23, True, 1), (46, 40, True, 1)])
+    def test_shipped_codes_walk_as_the_table(self, args):
+        code = BalancedCode(*args)
+        table = reference_table(code)
+        rng = random.Random(7)
+        for i in [0, code.count() - 1] + [rng.randrange(code.count()) for _ in range(40)]:
+            word = code.unrank(i)
+            assert word == table_unrank(code, table, i)
+            assert code.rank(word) == i
 
     @pytest.mark.parametrize("first_last_one,max_run",
                              [(False, None), (True, None), (True, 1), (True, 2), (True, 3), (True, 4)])
@@ -389,8 +458,8 @@ class TestBalancedCode:
 class TestRecodeDex:
     def test_rational_independence_precondition(self, root2_flow, two_valued_model):
         with pytest.raises(PreconditionFailed, match="rational independence"):
-            recode_two_valued(root2_flow, two_valued_model.marker, qr(1), qr(1), Fraction(1, 10),
-                       qr(Fraction(1, 20)))
+            recode_two_valued(root2_flow, two_valued_model.marker,
+                              TwoValuedLayout(qr(1), qr(1), Fraction(1, 10), qr(Fraction(1, 20))))
 
     def test_return_classes_exact(self, two_valued_model):
         p, q, delta = (two_valued_model.constants[c] for c in ("p", "q", "delta"))
@@ -436,9 +505,9 @@ class TestRecodeDex:
     def test_no_pair_precondition(self, root2_flow, two_valued_model):
         # delta far below every achievable remainder: scheduling must fail
         with pytest.raises(PreconditionFailed, match="no \\(k,l\\)"):
-            recode_two_valued(root2_flow, two_valued_model.marker,
-                       two_valued_model.constants["p"], two_valued_model.constants["q"],
-                       Fraction(1, 10), qr(Fraction(1, 1000)))
+            recode_two_valued(root2_flow, two_valued_model.marker, TwoValuedLayout(
+                two_valued_model.constants["p"], two_valued_model.constants["q"],
+                Fraction(1, 10), qr(Fraction(1, 1000))))
 
     def test_ocap_frequencies(self, two_valued_model):
         pt = two_valued_model.sample_point(17)
@@ -646,7 +715,8 @@ def exact_key(t):
 class TestSetupWork:
     """Deterministic work counts of the certified set-up: each exact return
     time gets one verdict in the marker search and one candidate-pair list
-    per layout, whatever the machine's speed."""
+    per build, shared by the search and the plan, whatever the machine's
+    speed."""
 
     def test_marked_binary_candidate_pairs_once_per_return_time(self, monkeypatch):
         calls, feasible, phase = [], [], ["plan"]
@@ -665,9 +735,9 @@ class TestSetupWork:
             finally:
                 phase[0] = "plan"
 
-        def counting_feasible(self, t, lang_count):
+        def counting_feasible(self, t, lang_count, ks):
             feasible.append(exact_key(t))
-            return real_feasible(self, t, lang_count)
+            return real_feasible(self, t, lang_count, ks)
 
         monkeypatch.setattr(recode, "candidate_pairs", counting_pairs)
         monkeypatch.setattr(instances, "find_marker_with_feasible_gaps", search)
@@ -676,55 +746,49 @@ class TestSetupWork:
         searched = [t for ph, t in calls if ph == "search"]
         planned = [t for ph, t in calls if ph == "plan"]
         # one verdict per distinct return time (79 feasible calls without the
-        # memo), and one candidate list per time on each layout
+        # memo), and one candidate list per time for the whole build: the
+        # plan reads the lists the search made (8 lists before they were
+        # shared)
         assert len(feasible) == len(set(feasible)) == 6
         assert sorted(searched) == sorted(set(feasible))
         assert len(planned) == len(set(planned))
-        assert set(planned) == {exact_key(a.t_return) for a in rf.atoms}
+        assert len(calls) == 6 and planned == []
+        assert {exact_key(a.t_return) for a in rf.atoms} <= set(searched)
         assert set(planned) <= set(searched)
 
     def test_two_valued_pair_once_per_return_time(self, monkeypatch):
-        asked = []
+        asked, calls = [], []
         real_pair = recode.TwoValuedLayout.pair
+        real_pairs = recode.candidate_pairs
 
         def counting_pair(self, t):
             asked.append(exact_key(t))
             return real_pair(self, t)
 
+        def counting_pairs(t, *args):
+            calls.append(exact_key(t))
+            return real_pairs(t, *args)
+
         monkeypatch.setattr(recode.TwoValuedLayout, "pair", counting_pair)
+        monkeypatch.setattr(recode, "candidate_pairs", counting_pairs)
         rf = build_two_valued_instance()
         atom_times = [exact_key(a.t_return) for a in rf.atoms]
         searched = asked[:len(asked) - len(atom_times)]
         assert asked[len(searched):] == atom_times  # the plan asks per atom
         assert len(searched) == len(set(searched)) == 5  # 21 without the memo
+        # and reads the pairs the search found: 5 candidate lists in all,
+        # where the plan made one more per atom before they were shared
+        assert calls == searched
 
-    def test_rank_tables_once_per_code(self, monkeypatch):
-        # capacity checks read the closed-form size: the marker search builds
-        # no rank table, and a build one per distinct code, for unrank
-        builds, phase = [], ["build"]
-        real_table = BalancedCode._table
-        real_search = recode.find_marker_with_feasible_gaps
-
-        def counting_table(self):
-            builds.append((phase[0], (self.length, self.ones, self.first_last_one, self.max_run)))
-            return real_table(self)
-
-        def search(*args, **kwargs):
-            phase[0] = "search"
-            try:
-                return real_search(*args, **kwargs)
-            finally:
-                phase[0] = "build"
-
-        monkeypatch.setattr(BalancedCode, "_table", counting_table)
-        monkeypatch.setattr(instances, "find_marker_with_feasible_gaps", search)
-        rf = build_marked_binary_instance()
-        assert [ph for ph, _ in builds] == ["build"] * len(rf.codes) == ["build"] * 2
-        assert sorted(args for _, args in builds) == sorted(rf.codes)
-        builds.clear()
-        rf = build_two_valued_instance()
-        assert list(rf.codes) == [(14, 7)]
-        assert builds == [("build", (14, 7, False, None))]
+    def test_no_rank_table(self):
+        # capacity checks, rank and unrank read closed-form counts: no code
+        # of either shipped build holds a table, and the class has none
+        assert not hasattr(BalancedCode, "_table") and not hasattr(BalancedCode, "_rows")
+        marked, two_valued = build_marked_binary_instance(), build_two_valued_instance()
+        assert len(marked.codes) == 2 and list(two_valued.codes) == [(14, 7)]
+        for rf in (marked, two_valued):
+            for code in rf.codes.values():
+                assert set(vars(code)) == {"length", "ones", "first_last_one", "max_run"}
 
     def test_verdict_times_are_return_word_sums(self, monkeypatch):
         # every time the search hands to gap_ok is the exact roof sum of one
