@@ -20,12 +20,14 @@ from fractions import Fraction
 from suspshift.quadratic import QuadraticReal, qr
 from suspshift.subshifts import (
     Cylinder,
+    EmptySubshift,
     parse_word,
     subshift_from_json,
     word_str,
 )
 from suspshift.measures import (
     DMetricConfig,
+    InsufficientData,
     block_entropy,
     bernoulli,
     measure_from_json,
@@ -43,6 +45,7 @@ from suspshift.suspension import (
     return_to_section,
     sample_sft_orbit,
     HorizonExceeded,
+    IncommensurableRoof,
     NotHit,
     SFTWalk,
     time_delta_tower_entropy,
@@ -60,15 +63,11 @@ class ConfigError(Exception):
 
 
 ERRORS = (
-    PreconditionFailed,
-    CapacityExceeded,
-    InfeasibleSchedule,
-    NoMarkerFound,
-    NoMarkersFound,
-    NotHit,
-    HorizonExceeded,
-    ValueError,
-    KeyError,
+    PreconditionFailed, CapacityExceeded, InfeasibleSchedule,  # recode
+    NoMarkerFound, NoMarkersFound,  # markers, generator
+    NotHit, HorizonExceeded, IncommensurableRoof,  # suspension
+    EmptySubshift, InsufficientData,  # subshifts, measures
+    ValueError, KeyError,
 )
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, _make, as_qr, pair_over, sign_surd
 from suspshift.recode import ChainPoint, PreconditionFailed, RecodedFlow
-from suspshift.subshifts import Word, word_str
+from suspshift.subshifts import word_str
+from suspshift.suspension import FlowPoint
 
 
 class NoMarkersFound(Exception):
@@ -104,14 +104,14 @@ class GeneratorModel:
 
     # -- flow points over the recoded base ---------------------------------
 
-    def sample_point(self, seed: int) -> "ZFlowPoint":
+    def sample_point(self, seed: int) -> FlowPoint:
         rng = random.Random(seed)
         chain = ChainPoint(self.rf.automaton, rng)
         coord = rng.randrange(0, len(self.rf.atoms[chain.chain[0]].emission))
         chain.cover(coord - self.reach, coord + self.reach)
         roof = chain.roofs[coord - chain.offset]
         height = roof * Fraction(rng.randrange(0, 1000), 1001)
-        return ZFlowPoint(chain, coord, height)
+        return FlowPoint(chain, coord, height)
 
     def roof_at(self, chain: ChainPoint, coord: int) -> QuadraticReal:
         chain.cover(coord - self.reach, coord + self.reach)
@@ -167,38 +167,36 @@ class GeneratorModel:
             y -= ry
             coord += 1
 
-    def _shifted(self, pt: "ZFlowPoint", k: int) -> "ZFlowPoint":
+    def _shifted(self, pt: FlowPoint, k: int) -> FlowPoint:
         """The point phi_{k p}(pt), as one settle from height h + k p."""
         x, y, L, d = self._integer_form(pt.height)
         px, py = pair_over(self.p, L)
-        coord, x, y = self._settle(pt.chain, pt.coord, x + k * px, y + k * py, L, d)
-        return ZFlowPoint(pt.chain, coord, _make(x, y, L, d))
+        coord, x, y = self._settle(pt.oracle, pt.index, x + k * px, y + k * py, L, d)
+        return FlowPoint(pt.oracle, coord, _make(x, y, L, d))
 
-    def step(self, pt: "ZFlowPoint") -> "ZFlowPoint":
+    def step(self, pt: FlowPoint) -> FlowPoint:
         """Exact time-p map on the recoded suspension."""
         return self._shifted(pt, 1)
 
-    def step_back(self, pt: "ZFlowPoint") -> "ZFlowPoint":
+    def step_back(self, pt: FlowPoint) -> FlowPoint:
         return self._shifted(pt, -1)
 
-    def letter(self, pt: "ZFlowPoint") -> str:
-        chain = pt.chain
-        chain.cover(pt.coord, pt.coord + 1)
-        if chain.symbols[pt.coord - chain.offset] == 1:
+    def letter(self, pt: FlowPoint) -> str:
+        if pt.base_block(0, 1)[0] == 1:
             return LETTER_P
         return LETTER_Q if pt.height < self.alpha else LETTER_A
 
-    def _walk(self, pt: "ZFlowPoint", n: int):
+    def _walk(self, pt: FlowPoint, n: int):
         """The name of `name_of` and the chain coordinate of its first P
         letter (None if it has none)."""
         if n < 1:
             raise ValueError("n must be positive")
-        chain, settle = pt.chain, self._settle
+        chain, settle = pt.oracle, self._settle
         x, y, L, d = self._integer_form(pt.height)
         px, py = pair_over(self.p, L)
         ax, ay = pair_over(self.alpha, L)
         symbols = chain.symbols
-        coord, x, y = settle(chain, pt.coord, x - 2 * n * px, y - 2 * n * py, L, d)
+        coord, x, y = settle(chain, pt.index, x - 2 * n * px, y - 2 * n * py, L, d)
         letters, first = [], None
         for k in range(4 * n + 1):
             if k:
@@ -212,7 +210,7 @@ class GeneratorModel:
                 letters.append(LETTER_Q if sign_surd(x - ax, y - ay, d) < 0 else LETTER_A)
         return "".join(letters), first
 
-    def name_of(self, pt: "ZFlowPoint", n: int) -> str:
+    def name_of(self, pt: FlowPoint, n: int) -> str:
         """Tower letters of phi_{k p}(pt) for k in [-2n, 2n], exact.
 
         One pass: a single jump to time -2np, then 4n forward time-p steps,
@@ -220,16 +218,6 @@ class GeneratorModel:
         The chain is read, and so materialized, exactly as by 2n `step_back`
         calls followed by 4n `step` calls."""
         return self._walk(pt, n)[0]
-
-
-@dataclass(frozen=True)
-class ZFlowPoint:
-    chain: ChainPoint
-    coord: int
-    height: QuadraticReal
-
-    def base_block(self, i: int, j: int) -> Word:
-        return self.chain.block(self.coord + i, self.coord + j)
 
 
 def _marking_a_count(inner: str, k_param: int):
@@ -271,7 +259,7 @@ def aligned_match(recovered: str, first: int, truth: str, start: int) -> bool:
     return offset >= 0 and recovered.startswith(truth, offset)
 
 
-def round_trip(model: GeneratorModel, pt: ZFlowPoint, n: int):
+def round_trip(model: GeneratorModel, pt: FlowPoint, n: int):
     """Exact end-to-end check: the decoded name, aligned at the chain
     coordinate of the name's first P letter, holds the true central base
     block at the point's own coordinate.
@@ -282,7 +270,7 @@ def round_trip(model: GeneratorModel, pt: ZFlowPoint, n: int):
     name, first = model._walk(pt, n)
     recovered = decode_name(name, model.K)
     truth = word_str(pt.base_block(-n, n + 1))
-    return recovered, truth, aligned_match(recovered, first, truth, pt.coord - n)
+    return recovered, truth, aligned_match(recovered, first, truth, pt.index - n)
 
 
 def verify_succession(name: str) -> bool:

@@ -19,6 +19,10 @@ offsets and column bounds on such pairs; the marker search keys its
 verdicts on integer roof sums.  A code's size, rank and unrank read closed
 form completion counts (`code_size`); no table is built.  Remainders,
 offsets and durations are stored as QuadraticReals.
+
+A point of Z lies on one atom chain, whose `cover` takes atoms from `_prev`
+and `_next`: rng draws (`ChainPoint`) or a base orbit's marker hits
+(`OrbitChain`, the image chain that `image`, `encode` and `return_census` read).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from suspshift.subshifts import (
     topological_entropy,
     word_str,
 )
-from suspshift.suspension import CrossSection, SuspensionFlow
+from suspshift.suspension import CrossSection, FlowPoint, SuspensionFlow
 
 
 class PreconditionFailed(Exception):
@@ -405,46 +409,69 @@ class ChainPoint(PointOracle):
     holds the Z-symbols of the materialized chain from coordinate `offset`
     on, and `roofs` holds, in step with it, each symbol's exact return time
     (its atom's `durations`), so a roof read is one index.  `cover(lo, hi)`
-    draws atoms from the shared rng, on the left first and then on the
-    right, until [lo, hi) is materialized.
+    adds atoms from `_prev`, then `_next` (rng draws here) until it holds [lo, hi).
     """
 
     def __init__(self, automaton: AtomAutomaton, rng: random.Random):
-        self.aut = automaton
-        self.rng = rng
-        a0 = rng.randrange(len(automaton.atoms))
+        self.aut, self.rng = automaton, rng
+        self._start(rng.randrange(len(automaton.atoms)))
+
+    def _start(self, a0: int):
         self.chain = [a0]            # atom indices, chain[0] starts at coordinate 0
-        self.symbols = list(automaton.atoms[a0].emission)
-        self.roofs = list(automaton.atoms[a0].durations)
+        self.symbols = list(self.aut.atoms[a0].emission)
+        self.roofs = list(self.aut.atoms[a0].durations)
         self.offset = 0              # coordinate of symbols[0]
 
-    def _extend_right(self):
-        last = self.chain[-1]
-        nxt = self.rng.choice(self.aut.successors[last])
-        self.chain.append(nxt)
-        atom = self.aut.atoms[nxt]
-        self.symbols.extend(atom.emission)
-        self.roofs.extend(atom.durations)
+    def _prev(self) -> int:
+        return self.rng.choice(self.aut.predecessors[self.chain[0]])
 
-    def _extend_left(self):
-        first = self.chain[0]
-        prev = self.rng.choice(self.aut.predecessors[first])
-        self.chain.insert(0, prev)
-        atom = self.aut.atoms[prev]
-        self.symbols[0:0] = atom.emission
-        self.roofs[0:0] = atom.durations
-        self.offset -= len(atom.emission)
+    def _next(self) -> int:
+        return self.rng.choice(self.aut.successors[self.chain[-1]])
 
     def cover(self, lo: int, hi: int):
         """Materialize coordinates [lo, hi)."""
+        atoms = self.aut.atoms
         while lo < self.offset:
-            self._extend_left()
+            atom = atoms[self._prev()]
+            self.chain.insert(0, atom.index)
+            self.symbols[0:0], self.roofs[0:0] = atom.emission, atom.durations
+            self.offset -= len(atom.emission)
         while hi > self.offset + len(self.symbols):
-            self._extend_right()
+            atom = atoms[self._next()]
+            self.chain.append(atom.index)
+            self.symbols.extend(atom.emission)
+            self.roofs.extend(atom.durations)
 
     def block(self, i, j):
         self.cover(i, j)
         return tuple(self.symbols[i - self.offset : j - self.offset])
+
+
+class OrbitChain(ChainPoint):
+    """The atoms at the marker hits of a base orbit from coordinate 0 at `hit`;
+    `hits[k]`, the base coordinate of `chain[k]`, is hits[k-1] + chain[k-1]'s gap."""
+
+    def __init__(self, rf: "RecodedFlow", oracle: PointOracle, hit: int):
+        self.aut, self.rf, self.base, self.hits = rf.automaton, rf, oracle, [hit]
+        self._start(rf.atom_at(oracle, hit).index)
+
+    def _prev(self) -> int:
+        self.hits.insert(0, self.rf.last_hit(self.base, self.hits[0] - 1))
+        return self.rf.atom_at(self.base, self.hits[0]).index
+
+    def _next(self) -> int:
+        self.hits.append(self.hits[-1] + self.aut.atoms[self.chain[-1]].gap)
+        return self.rf.atom_at(self.base, self.hits[-1]).index
+
+    def base_index(self, coord: int) -> int:
+        """The base coordinate of the column under chain coordinate `coord`."""
+        self.cover(coord, coord + 1)
+        pos = coord - self.offset
+        for hit, ai in zip(self.hits, self.chain):
+            atom = self.aut.atoms[ai]
+            if pos < len(atom.emission):
+                return hit + atom.columns[pos]
+            pos -= len(atom.emission)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +491,6 @@ class RecodedFlow:
     constants: dict
     atoms: list
     automaton: AtomAutomaton
-    n_words: list            # sorted language(n) of the base; code index space
     codes: dict              # BalancedCode arguments -> BalancedCode, in atom order
 
     def __post_init__(self):
@@ -498,32 +524,37 @@ class RecodedFlow:
 
     # -- orbit machinery --------------------------------------------------
 
-    def marker_starts(self, oracle: PointOracle, lo: int, hi: int):
-        text = word_str(oracle.block(lo, hi))
-        return [lo + i for i in occurrence_starts(text, word_str(self.marker.word))]
+    def last_hit(self, oracle: PointOracle, i: int) -> int:
+        """The last marker hit at or before base coordinate i: one scan of
+        the text from max_gap + len(marker) before i to len(marker) past it."""
+        marker = word_str(self.marker.word)
+        lo = i - self.marker.max_gap - len(marker)
+        s = word_str(oracle.block(lo, i + len(marker))).rfind(marker)
+        if s < 0:
+            raise PreconditionFailed("marker not found within its certified gap")
+        return lo + s
 
     def atom_at(self, oracle: PointOracle, start: int) -> MarkerAtom:
         m = self.flow.roof.m
         return self._atom_table[tuple(oracle.block(start - m, start + self.n + m))]
 
+    def image(self, flow_point) -> FlowPoint:
+        """The exact image of a source flow point over its orbit's OrbitChain,
+        on the last piece at or below its height above the last hit j0."""
+        oracle, i0 = flow_point.oracle, flow_point.index
+        chain = OrbitChain(self, oracle, self.last_hit(oracle, i0))
+        height = sum((self.flow.roof.value_at(oracle, c) for c in range(chain.hits[0], i0)),
+                     flow_point.height)
+        offsets = self.atoms[chain.chain[0]].offsets
+        piece = max(idx for idx, t in enumerate(offsets) if t <= height)
+        return FlowPoint(chain, piece, height - offsets[piece])
+
     def return_census(self, oracle: PointOracle, start: int, count: int):
-        """Exact (class, time) pairs for `count` consecutive section returns
-        along the orbit over `oracle`, beginning at the first marker hit at
-        or after base coordinate `start`."""
-        reach = self.marker.max_gap + len(self.marker.word) + 1
-        starts = self.marker_starts(oracle, start, start + reach)
-        if not starts:
-            raise PreconditionFailed("marker not found within its certified gap")
-        pos = starts[0]
-        out = []
-        while len(out) < count:
-            atom = self.atom_at(oracle, pos)
-            for sym, d in zip(atom.emission, atom.durations):
-                out.append((sym, d))
-                if len(out) == count:
-                    break
-            pos += atom.gap
-        return out
+        """Exact (class, time) pairs of `count` consecutive section returns along
+        the orbit over `oracle`, from its first marker hit at or after `start`."""
+        before = self.last_hit(oracle, start - 1)
+        chain = OrbitChain(self, oracle, before + self.atom_at(oracle, before).gap)
+        return list(zip(chain.block(0, count), chain.roofs))
 
     def sample_point(self, seed: int) -> ChainPoint:
         return ChainPoint(self.automaton, random.Random(seed))
@@ -538,45 +569,11 @@ class RecodedFlow:
     # -- encode / decode ---------------------------------------------------
 
     def encode(self, flow_point, radius: int):
-        """Map a flow point of the source suspension to (Z-window of the
-        given radius, height above the current piece); exact."""
-        oracle, i0, h = flow_point.oracle, flow_point.index, flow_point.height
-        lw = len(self.marker.word)
-        reach = self.marker.max_gap + lw + 1
-        starts = self.marker_starts(oracle, i0 - reach, i0 + lw)
-        starts = [s for s in starts if s <= i0]
-        if not starts:
-            raise PreconditionFailed("no marker hit before the point")
-        j0 = starts[-1]
-        elapsed = h
-        for c in range(j0, i0):
-            elapsed = elapsed + self.flow.roof.value_at(oracle, c)
-        atom0 = self.atom_at(oracle, j0)
-        piece = max(
-            idx for idx, t in enumerate(atom0.offsets) if t <= elapsed
-        )
-        z_height = elapsed - atom0.offsets[piece]
-        # walk atoms left and right of j0 to cover the window
-        syms = list(atom0.emission)
-        center = piece
-        left = j0
-        while center < radius:
-            prev = self.marker_starts(oracle, left - reach, left + lw - 1)
-            prev = [s for s in prev if s < left]
-            if not prev:
-                raise PreconditionFailed("marker chain broke on the left")
-            left = prev[-1]
-            em = self.atom_at(oracle, left).emission
-            syms[0:0] = em
-            center += len(em)
-        right = j0 + atom0.gap
-        while len(syms) - center - 1 < radius:
-            atom_r = self.atom_at(oracle, right)
-            syms.extend(atom_r.emission)
-            right += atom_r.gap
-        window = tuple(syms[center - radius : center + radius + 1])
-        center_base = j0 + atom0.columns[piece]
-        return window, z_height, center_base
+        """(Z-window of the given radius, height above the current piece,
+        base coordinate of its column) of a source flow point's `image`."""
+        pt = self.image(flow_point)
+        center_base = pt.oracle.base_index(pt.index)
+        return pt.base_block(-radius, radius + 1), pt.height, center_base
 
     def globality_bound(self) -> QuadraticReal:
         """Flow duration within which every orbit must hit the section: the
@@ -683,7 +680,7 @@ def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None) -> R
     if n is None:
         n = marker.max_gap + len(marker.word)
     atoms = build_atoms(flow, marker, n)
-    n_words = sorted(flow.base.language(n))
+    n_words = sorted(flow.base.language(n))  # the code index space
     layout.plan(atoms, len(n_words))
     rank = {w: i for i, w in enumerate(n_words)}
     codes = {}
@@ -698,7 +695,7 @@ def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None) -> R
     automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), layout.alphabet_size)
     return RecodedFlow(
         layout=layout, flow=flow, marker=marker, n=n, constants=layout.constants(n),
-        atoms=atoms, automaton=automaton, n_words=n_words, codes=codes,
+        atoms=atoms, automaton=automaton, codes=codes,
     )
 
 

@@ -54,7 +54,7 @@ class Roof:
 
     @classmethod
     def constant(cls, value, alphabet_size: int = 2) -> "Roof":
-        return cls(0, {(c,): as_qr(value) for c in range(alphabet_size)})
+        return cls.by_symbol([value] * alphabet_size)
 
     @classmethod
     def by_symbol(cls, values) -> "Roof":

@@ -44,7 +44,7 @@ from suspshift.suspension import (
 )
 from suspshift.markers import NoMarkerFound, build_marker, return_spectrum, verify_coverage
 from suspshift.recode import BalancedCode
-from suspshift.generator import round_trip
+from suspshift.generator import decode_name, round_trip
 from suspshift.periodic import PeriodicCensus, global_periodic_growth
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -241,6 +241,37 @@ def test_criterion_08_generator_round_trip(request):
             matches += int(match)
         assert matches == 100
         print(f"       {matches}/100 windows recovered the central base block")
+
+
+def test_criterion_12_generator_on_the_original_flow(request):
+    with criterion(12, "generator on the original flow: 50/50 images of Sturmian flow "
+                       "points round trip at n=50 and decode to their own base block",
+                   budget_s=30.0):
+        gen_model = request.getfixturevalue("gen_model")
+        rf, n = gen_model.rf, 50
+        flow = rf.flow
+        names = decodes = 0
+        lengths = []
+        for seed in range(50):
+            rng = random.Random(seed)
+            x = flow.base.point(qr(Fraction(rng.randrange(0, 10**6), 10**6)))
+            h = flow.roof_at(x, 0) * Fraction(rng.randrange(0, 100), 101)
+            pt = rf.image(make_flow_point(flow, x, h))
+            _, _, match = round_trip(gen_model, pt, n)
+            names += int(match)
+            # the decoded name is the Z-block from the chain coordinate of its
+            # first P letter; its base word must be the orbit's own block at
+            # the base coordinate of the window's central piece
+            name, first = gen_model._walk(pt, n)
+            recovered = decode_name(name, gen_model.K)
+            word, center_idx = rf.decode(tuple(map(int, recovered)))
+            start = pt.oracle.base_index(first + len(recovered) // 2) - center_idx
+            decodes += int(word == tuple(x.block(start, start + len(word))))
+            lengths.append(len(word))
+        assert names == 50
+        assert decodes == 50
+        print(f"       {names}/50 time-p names and {decodes}/50 base words recovered; "
+              f"base words of length {min(lengths)}-{max(lengths)}")
 
 
 def test_criterion_09_periodic_growth():

@@ -143,6 +143,30 @@ def test_config_without_a_top_level_key_emits_config_error(tmp_path, capsys, com
         assert repr(key) in err["precondition"]
 
 
+def _shipped_config(command, edit):
+    config = json.loads((ROOT / RUNS[command][0]).read_text())
+    edit(config)
+    return config
+
+
+@pytest.mark.parametrize("command, edit, error", [
+    # every word of length 1 is forbidden
+    ("entropy", lambda c: c.update(system={"kind": "sft", "alphabet_size": 2,
+                                           "forbidden": ["0", "1"]}), "EmptySubshift"),
+    # a roof value of 3/2 is no multiple of the tower step 1
+    ("abramov-check", lambda c: c["system"]["roof"]["table"].update({"1": {"a": "3/2", "b": "0"}}),
+     "IncommensurableRoof"),
+    # the census measures keep blocks only up to length 8
+    ("periodic", lambda c: c["parameters"].update(metric_depth=400, n_max=4), "InsufficientData"),
+], ids=["entropy", "abramov-check", "periodic"])
+def test_domain_errors_emit_error_json(tmp_path, capsys, command, edit, error):
+    code, _ = run_cli(tmp_path, command, _shipped_config(command, edit))
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out.strip().split("\n")[-1])["error"] == error
+    assert "Traceback" not in out.out + out.err
+
+
 def test_recode_two_valued_rejects_rational_dependence(tmp_path, capsys):
     cfg = {"system": ROOT2_FLOW,
            "parameters": {"p": {"a": "1", "b": "0"}, "q": {"a": "1", "b": "0"},

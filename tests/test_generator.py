@@ -9,7 +9,6 @@ from suspshift.generator import (
     LETTER_P,
     GeneratorModel,
     NoMarkersFound,
-    ZFlowPoint,
     aligned_match,
     _marking_a_count,
     decode_name,
@@ -19,7 +18,7 @@ from suspshift.generator import (
 from suspshift.instances import build_marked_binary_instance
 from suspshift.recode import AtomAutomaton, ChainPoint, PreconditionFailed
 from suspshift.subshifts import Sturmian, word_str
-from suspshift.suspension import Roof, SuspensionFlow
+from suspshift.suspension import FlowPoint, Roof, SuspensionFlow
 
 
 class TestModel:
@@ -41,18 +40,18 @@ class TestModel:
         pt = gen_model.sample_point(5)
         there = gen_model.step(gen_model.step(pt))
         back = gen_model.step_back(gen_model.step_back(there))
-        assert back.coord == pt.coord and back.height == pt.height
+        assert back.index == pt.index and back.height == pt.height
 
 
 class TestNames:
     def test_point_on_p_tower(self, gen_model):
         # a point at height 0 over a p-column is named P
         pt = gen_model.sample_point(1)
-        chain = pt.chain
+        chain = pt.oracle
         coord = next(
             c for c in range(0, 60) if chain.block(c, c + 1)[0] == 1
         )
-        p_pt = ZFlowPoint(chain, coord, qr(0))
+        p_pt = FlowPoint(chain, coord, qr(0))
         assert gen_model.letter(p_pt) == "P"
         name = gen_model.name_of(p_pt, 15)
         assert name[len(name) // 2] == "P"
@@ -74,13 +73,13 @@ class TestNames:
 
     def test_letters_partition_heights(self, gen_model):
         pt = gen_model.sample_point(12)
-        chain = pt.chain
+        chain = pt.oracle
         alpha = gen_model.alpha
         for c in range(0, 40):
             sym = chain.block(c, c + 1)[0]
             roof = gen_model.roof_at(chain, c)
-            low = ZFlowPoint(chain, c, roof * Fraction(1, 100))
-            high = ZFlowPoint(chain, c, roof * Fraction(99, 100))
+            low = FlowPoint(chain, c, roof * Fraction(1, 100))
+            high = FlowPoint(chain, c, roof * Fraction(99, 100))
             if sym == 1:
                 assert gen_model.letter(low) == gen_model.letter(high) == "P"
             else:
@@ -175,7 +174,7 @@ class TestDecode:
     def test_truth_is_central_base_block(self, gen_model):
         pt = gen_model.sample_point(123)
         rec, truth, match = round_trip(gen_model, pt, 50)
-        assert truth == word_str(pt.chain.block(pt.coord - 50, pt.coord + 51))
+        assert truth == word_str(pt.oracle.block(pt.index - 50, pt.index + 51))
         assert match
 
     def test_below_horizon_raises(self, gen_model):
@@ -232,25 +231,25 @@ class ReferenceWalk:
         chain = ChainPoint(self.model.rf.automaton, rng)
         coord = rng.randrange(0, len(self.model.rf.atoms[chain.chain[0]].emission))
         height = self.roof_at(chain, coord) * Fraction(rng.randrange(0, 1000), 1001)
-        return ZFlowPoint(chain, coord, height)
+        return FlowPoint(chain, coord, height)
 
     def step(self, pt):
-        h, coord = pt.height + self.model.p, pt.coord
+        h, coord = pt.height + self.model.p, pt.index
         while True:
-            r = self.roof_at(pt.chain, coord)
+            r = self.roof_at(pt.oracle, coord)
             if h < r:
-                return ZFlowPoint(pt.chain, coord, h)
+                return FlowPoint(pt.oracle, coord, h)
             h, coord = h - r, coord + 1
 
     def step_back(self, pt):
-        h, coord = pt.height - self.model.p, pt.coord
+        h, coord = pt.height - self.model.p, pt.index
         while h.sign() < 0:
             coord -= 1
-            h = h + self.roof_at(pt.chain, coord)
-        return ZFlowPoint(pt.chain, coord, h)
+            h = h + self.roof_at(pt.oracle, coord)
+        return FlowPoint(pt.oracle, coord, h)
 
     def letter(self, pt):
-        if pt.chain.block(pt.coord, pt.coord + 1)[0] == 1:
+        if pt.oracle.block(pt.index, pt.index + 1)[0] == 1:
             return "P"
         return "Q" if pt.height < self.model.alpha else "A"
 
@@ -274,15 +273,15 @@ def check_names(model, n, seeds):
     for seed in seeds:
         want_pt = ref.sample_point(seed)
         pt = model.sample_point(seed)
-        assert (pt.coord, pt.height) == (want_pt.coord, want_pt.height)
-        assert chain_state(pt.chain) == chain_state(want_pt.chain)
+        assert (pt.index, pt.height) == (want_pt.index, want_pt.height)
+        assert chain_state(pt.oracle) == chain_state(want_pt.oracle)
         want = ref.name_of(want_pt, n)
         assert model.name_of(pt, n) == want, f"seed {seed}"
-        assert chain_state(pt.chain) == chain_state(want_pt.chain), f"seed {seed}"
-        assert pt.chain.roofs == [d for ai in pt.chain.chain for d in atoms[ai].durations]
+        assert chain_state(pt.oracle) == chain_state(want_pt.oracle), f"seed {seed}"
+        assert pt.oracle.roofs == [d for ai in pt.oracle.chain for d in atoms[ai].durations]
         # the chain then grows on in the same way, as round_trip reads it
         assert pt.base_block(-n, n + 1) == want_pt.base_block(-n, n + 1)
-        assert chain_state(pt.chain) == chain_state(want_pt.chain)
+        assert chain_state(pt.oracle) == chain_state(want_pt.oracle)
 
 
 def check_steps(model, seeds, moves=30):
@@ -293,15 +292,15 @@ def check_steps(model, seeds, moves=30):
             move, ref_move = ((model.step, ref.step) if k % 3 else
                               (model.step_back, ref.step_back))
             pt, want = move(pt), ref_move(want)
-            assert (pt.coord, pt.height) == (want.coord, want.height)
-            assert model.roof_at(pt.chain, pt.coord) == ref.roof_at(want.chain, want.coord)
+            assert (pt.index, pt.height) == (want.index, want.height)
+            assert model.roof_at(pt.oracle, pt.index) == ref.roof_at(want.oracle, want.index)
             assert model.letter(pt) == ref.letter(want)
-        assert chain_state(pt.chain) == chain_state(want.chain)
+        assert chain_state(pt.oracle) == chain_state(want.oracle)
         # a letter read far outside the materialized chain extends it first
         for jump in (-400, 400):
-            far, far_ref = (ZFlowPoint(p.chain, p.coord + jump, qr(0)) for p in (pt, want))
+            far, far_ref = (FlowPoint(p.oracle, p.index + jump, qr(0)) for p in (pt, want))
             assert model.letter(far) == ref.letter(far_ref)
-            assert chain_state(pt.chain) == chain_state(want.chain)
+            assert chain_state(pt.oracle) == chain_state(want.oracle)
 
 
 @pytest.mark.parametrize("n", [1, 5, 25, 50])
@@ -328,21 +327,21 @@ def test_recovered_word_is_the_chain_block_from_the_first_p(gen_model):
         pt = gen_model.sample_point(seed)
         name, first = gen_model._walk(pt, n)
         rec = decode_name(name, gen_model.K)
-        assert rec == word_str(pt.chain.block(first, first + len(rec))), f"seed {seed}"
+        assert rec == word_str(pt.oracle.block(first, first + len(rec))), f"seed {seed}"
 
 
 @pytest.mark.parametrize("control", ["shifted", "foreign"])
 def test_round_trip_negative_controls(gen_model, monkeypatch, control):
     # the truth read 7 coordinates to the right, or another seed's central
     # block: both must fail the aligned gate
-    true_block, other = ZFlowPoint.base_block, gen_model.sample_point(1000)
+    true_block, other = FlowPoint.base_block, gen_model.sample_point(1000)
 
     def wrong_block(pt, i, j):
         if control == "shifted":
-            return true_block(ZFlowPoint(pt.chain, pt.coord + 7, pt.height), i, j)
+            return true_block(FlowPoint(pt.oracle, pt.index + 7, pt.height), i, j)
         return true_block(other, i, j)
 
-    monkeypatch.setattr(ZFlowPoint, "base_block", wrong_block)
+    monkeypatch.setattr(FlowPoint, "base_block", wrong_block)
     substring_hits = 0
     for seed in range(40):
         rec, truth, match = round_trip(gen_model, gen_model.sample_point(seed), 50)
@@ -401,7 +400,7 @@ def test_round_trips_on_more_instances(other_gen_model):
 
 def test_height_from_another_field_is_refused(gen_model):
     pt = gen_model.sample_point(3)
-    odd = ZFlowPoint(pt.chain, pt.coord, qr(0, Fraction(1, 7), 3))
+    odd = FlowPoint(pt.oracle, pt.index, qr(0, Fraction(1, 7), 3))
     for walk in (lambda: gen_model.name_of(odd, 5), lambda: gen_model.step(odd),
                  lambda: gen_model.step_back(odd)):
         with pytest.raises(ValueError, match="mixed radicands"):
@@ -423,12 +422,12 @@ def test_rational_model_takes_the_radicand_of_the_height(marked_model):
     assert model.d is None
     ref = ReferenceWalk(model)
     for seed in range(10):
-        pts = [ZFlowPoint(ChainPoint(model.rf.automaton, random.Random(seed)), 3,
+        pts = [FlowPoint(ChainPoint(model.rf.automaton, random.Random(seed)), 3,
                           qr(Fraction(1, 9), Fraction(seed, 11), 3)) for _ in range(2)]
         assert model.name_of(pts[0], 20) == ref.name_of(pts[1], 20)
-        assert chain_state(pts[0].chain) == chain_state(pts[1].chain)
+        assert chain_state(pts[0].oracle) == chain_state(pts[1].oracle)
         moved, want = model.step_back(model.step(pts[0])), ref.step_back(ref.step(pts[1]))
-        assert (moved.coord, moved.height) == (want.coord, want.height)
+        assert (moved.index, moved.height) == (want.index, want.height)
         assert moved.height.d == 3
 
 

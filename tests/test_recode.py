@@ -498,7 +498,7 @@ class TestRecodeDex:
             assert t == p or t == q or (qr(0) < t < delta)
 
     def test_capacity_invariant_holds(self, two_valued_model):
-        lang_count = len(two_valued_model.n_words)
+        lang_count = len(sorted(two_valued_model.flow.base.language(two_valued_model.n)))
         for atom in two_valued_model.atoms:
             assert lang_count <= math.comb(2 * atom.k, atom.k)
 
@@ -893,7 +893,7 @@ def test_setup_equals_the_quadratic_reference(name, monkeypatch):
         assert args == ref.layout.code_args(b)
         if args is not None:
             assert a.code_word == b.code_word \
-                == ref.codes[args].unrank(ref.n_words.index(a.n_word))
+                == ref.codes[args].unrank(sorted(ref.flow.base.language(ref.n)).index(a.n_word))
         assert a.emission == b.emission
         assert a.columns == b.columns
         assert list(map(exact_form, a.offsets)) == list(map(exact_form, b.offsets))

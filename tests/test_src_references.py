@@ -22,7 +22,6 @@ PACKAGE = ROOT / "src" / "suspshift"
 # definitions kept with no caller outside the tests, each with its reason
 ALLOWED = {
     "suspension.flow": "the flow map itself; acceptance criteria call it",
-    "suspension.Roof.by_symbol": "the roof constructor acceptance criteria use",
     "recode.recode_near_constant": "one of the three documented constructions",
     "recode.BalancedCode.rank": "the inverse of unrank; acceptance criteria check the "
                                 "codes are bijections through it",
