@@ -198,7 +198,7 @@ def topological_entropy(subshift: Subshift, horizon: int | None = None) -> float
         raise ValueError("non-SFT subshift needs an explicit horizon")
     count = len(subshift.language(horizon))
     if count == 0:
-        raise EmptySubshift()
+        raise EmptySubshift(f"no admissible word of length {horizon}")
     return math.log(count) / horizon
 
 
@@ -325,7 +325,9 @@ class SFT(Subshift):
 
     def entropy_exact(self) -> float:
         if self.is_empty():
-            raise EmptySubshift()
+            forbidden = [word_str(f) for f in self.forbidden]
+            raise EmptySubshift(f"the SFT over {self.alphabet_size} symbols forbidding "
+                                f"{forbidden} has no bi-infinite point")
         import numpy as np  # imported here: no other path needs its ~14 MB
 
         a = np.array(self._adjacency_matrix(), dtype=float)

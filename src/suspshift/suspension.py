@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from suspshift.quadratic import (
     QuadraticReal,
@@ -92,8 +93,7 @@ class SuspensionFlow:
         return self.roof.value_at(oracle, i)
 
 
-@dataclass(frozen=True)
-class FlowPoint:
+class FlowPoint(NamedTuple):
     """(sigma^index of the base point, height), 0 <= height < roof there."""
 
     oracle: PointOracle
@@ -147,30 +147,14 @@ class SectionPiece:
 class CrossSection:
     """Finite union of (anchored cylinder, time offset) pieces.
 
-    The pieces are indexed once by (anchor, word length) and then by word:
-    `_groups` locates each group in the base window [`_lo`, `_hi`) spanned
-    by all pieces.  `return_to_section` runs on the section's `ReturnPlan`,
-    which reads that index; the plan is built on the first return under a
-    roof and kept with the roof it was built for.
+    `return_to_section` runs on the section's `ReturnPlan`, which is built
+    on the first return under a roof and kept with the roof it was built for.
     """
 
     def __init__(self, pieces):
         self.pieces = [
             SectionPiece(c if isinstance(c, Cylinder) else Cylinder(*c), as_qr(o))
             for (c, o) in pieces
-        ]
-        groups = {}
-        for k, piece in enumerate(self.pieces):
-            c = piece.cylinder
-            words = groups.setdefault((c.anchor, len(c.word)), {})
-            words.setdefault(tuple(c.word), []).append(k)
-        self._lo = min((anchor for anchor, _ in groups), default=0)
-        self._hi = max((anchor + n for anchor, n in groups), default=0)
-        # (start, end) of each group inside the window [_lo, _hi), with the
-        # piece indices on each word of the group
-        self._groups = [
-            (anchor - self._lo, anchor - self._lo + n, words)
-            for (anchor, n), words in groups.items()
         ]
         self._plan = None
 
@@ -192,11 +176,14 @@ class ReturnPlan:
     (x + y*sqrt(d))/L0 over one common denominator L0; `d` is None when
     all of them are rational.  The pieces are ranked by (offset, piece
     index), so the first landing in a column is the lowest rank hit there.
-    A return reads one base window per shift, the union [lo, hi) of the
-    roof window [-m, m] and the section window; its roof word (the slice
-    `roof_word`) keys `columns`, which holds the roof's pair and, for each
-    (anchor, length) group of the section, the ranks of the pieces on each
-    word whose offset lies below that roof.
+    A column is decided by its base window [lo, hi), the union of the roof
+    window [-m, m] and every piece's cylinder.  `outcomes` maps each window
+    met to (rx, ry, ranks): the pair of its roof and the ascending ranks of
+    the pieces whose cylinder it matches and whose offset lies below that
+    roof.  It holds one entry per distinct window met, so it is bounded by
+    the number of words of length hi - lo in the orbits returned along
+    (n + 1 for windows of length n on a Sturmian orbit), and it is dropped
+    with the plan.
     """
 
     def __init__(self, roof: Roof, section: CrossSection):
@@ -205,26 +192,30 @@ class ReturnPlan:
         values = [*roof.table.values(), *offsets]
         self.d = common_radicand(values)
         self.L0 = math.lcm(*(v.C for v in values))
-        order = sorted(range(len(offsets)), key=lambda k: (offsets[k], k))
-        rank = {k: r for r, k in enumerate(order)}
-        # by rank: (piece index, offset, its pair over L0)
-        self.ranked = [(k, offsets[k], *pair_over(offsets[k], self.L0)) for k in order]
+        cylinders = [piece.cylinder for piece in section.pieces]
         m = roof.m
-        self.lo, self.hi = min(-m, section._lo), max(m + 1, section._hi)
-        self.roof_word = slice(-m - self.lo, m + 1 - self.lo)
-        shift = section._lo - self.lo
-        self.columns = {}
-        for w, r in roof.table.items():
-            groups = []
-            for start, end, words in section._groups:
-                below = {}
-                for word, ks in words.items():
-                    ranks = sorted(rank[k] for k in ks if offsets[k] < r)
-                    if ranks:
-                        below[word] = tuple(ranks)
-                if below:
-                    groups.append((start + shift, end + shift, below))
-            self.columns[w] = (*pair_over(r, self.L0), tuple(groups))
+        self.lo = min([-m, *(c.anchor for c in cylinders)])
+        self.hi = max([m + 1, *(c.anchor + len(c.word) for c in cylinders)])
+        # by rank: (piece index, offset, its pair over L0, where its word
+        # sits in the window, the word)
+        self.ranked = []
+        for k in sorted(range(len(offsets)), key=lambda k: (offsets[k], k)):
+            c = cylinders[k]
+            at = c.anchor - self.lo
+            self.ranked.append((k, offsets[k], *pair_over(offsets[k], self.L0),
+                                slice(at, at + len(c.word)), tuple(c.word)))
+        self._roof_word = slice(-m - self.lo, m + 1 - self.lo)
+        self._roof_pairs = {w: pair_over(r, self.L0) for w, r in roof.table.items()}
+        self.outcomes = {}
+
+    def outcome(self, window: tuple):
+        """(rx, ry, ranks) of the column whose base window is `window`, kept
+        in `outcomes`; a KeyError if the roof is undefined on its roof word."""
+        rx, ry = self._roof_pairs[window[self._roof_word]]
+        ranks = tuple(r for r, (_, _, ox, oy, where, word) in enumerate(self.ranked)
+                      if window[where] == word and sign_surd(rx - ox, ry - oy, self.d) > 0)
+        out = self.outcomes[window] = (rx, ry, ranks)
+        return out
 
 
 def return_to_section(
@@ -236,60 +227,55 @@ def return_to_section(
     landed on at once, the lowest index.  A point already on the section
     returns at the next hit, never at time 0.
 
-    Runs on the section's `ReturnPlan` for the flow's roof.  Each base shift
-    is one oracle read, one roof lookup, one lookup per piece group and two
-    integer adds to the roof sum; only the first column compares offsets with
-    the start height, one `sign_surd` each.  The time, roof sum plus landing
-    offset minus start height over lcm(L0, height denominator), is built
-    once, and the landing height is the piece's own offset.
+    Runs on the section's `ReturnPlan` for the flow's roof.  The first column
+    reads its whole base window [lo, hi); each later shift drops the window's
+    first symbol and reads one more, so every base symbol is read once.  A
+    window is resolved once per plan (`ReturnPlan.outcome`) and then looked
+    up in the plan's memo, so a shift is one one-symbol read, one lookup and
+    two integer adds to the roof sum.  Only the first column compares offsets
+    with the start height, one `sign_surd` per candidate; in every later
+    column the hit is the lowest rank listed.  The time, roof sum plus
+    landing offset minus start height over lcm(L0, height denominator), is
+    built once, and the landing height is the piece's own offset.
     """
     roof = flow_sys.roof
     plan = section.plan(roof)
     h = p.height
     d = common_radicand((h,), plan.d)
-    L0, ranked, columns = plan.L0, plan.ranked, plan.columns
-    lo, hi, roof_word = plan.lo, plan.hi, plan.roof_word
+    L0, ranked, outcomes, outcome = plan.L0, plan.ranked, plan.outcomes, plan.outcome
+    lo, hi = plan.lo, plan.hi
     oracle = p.oracle
     block = oracle.block
     hx, hy, hC = h.A * L0, h.B * L0, h.C
-    idx = p.index
+    idx = start = p.index
     sx = sy = 0  # the roofs passed, over L0
     irrational = False  # whether one of them is
-    first = True
     for _ in range(max_shifts):
         try:
-            window = tuple(block(idx + lo, idx + hi))
-            rx, ry, groups = columns[window[roof_word]]
+            if idx == start:
+                window = tuple(block(idx + lo, idx + hi))
+            else:
+                window = window[1:] + (block(idx + hi - 1, idx + hi)[0],)
+            rx, ry, ranks = outcomes.get(window) or outcome(window)
         except (HorizonExceeded, KeyError):
             roof.value_at(oracle, idx)  # the roof's own read and lookup fail first
             raise
-        hit = None
-        for start, end, words in groups:
-            ranks = words.get(window[start:end])
-            if ranks is None:
-                continue
-            for r in ranks:
-                # in the first column only offsets above the start height count
-                if not first or sign_surd(ranked[r][2] * hC - hx,
-                                          ranked[r][3] * hC - hy, d) > 0:
-                    if hit is None or r < hit:
-                        hit = r
-                    break
-        if hit is not None:
-            k, off, ox, oy = ranked[hit]
-            L = math.lcm(L0, hC)
-            f, g = L // L0, L // hC
-            # a rational time keeps the radicand of its last irrational
-            # summand, or the start height's when no summand is irrational
-            td = d if irrational or oy else h.d
-            t = _make((sx + ox) * f - h.A * g, (sy + oy) * f - h.B * g, L, td)
-            return t, FlowPoint(oracle, idx, off), k
+        for r in ranks:
+            k, off, ox, oy, _, _ = ranked[r]
+            # in the first column only offsets above the start height count
+            if idx != start or sign_surd(ox * hC - hx, oy * hC - hy, d) > 0:
+                L = math.lcm(L0, hC)
+                f, g = L // L0, L // hC
+                # a rational time keeps the radicand of its last irrational
+                # summand, or the start height's when no summand is irrational
+                td = d if irrational or oy else h.d
+                t = _make((sx + ox) * f - h.A * g, (sy + oy) * f - h.B * g, L, td)
+                return t, FlowPoint(oracle, idx, off), k
         sx += rx
         sy += ry
         if ry:
             irrational = True
         idx += 1
-        first = False
     raise NotHit(f"no return within {max_shifts} base shifts")
 
 

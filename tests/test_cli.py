@@ -167,6 +167,17 @@ def test_domain_errors_emit_error_json(tmp_path, capsys, command, edit, error):
     assert "Traceback" not in out.out + out.err
 
 
+def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
+    config = {"system": {"kind": "sft", "alphabet_size": 2, "forbidden": ["0", "1"]},
+              "parameters": {}}
+    code, _ = run_cli(tmp_path, "entropy", config)
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"] == "EmptySubshift"
+    assert err["precondition"] == \
+        "the SFT over 2 symbols forbidding ['0', '1'] has no bi-infinite point"
+
+
 def test_recode_two_valued_rejects_rational_dependence(tmp_path, capsys):
     cfg = {"system": ROOT2_FLOW,
            "parameters": {"p": {"a": "1", "b": "0"}, "q": {"a": "1", "b": "0"},

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 import suspshift.suspension as suspension
 from suspshift.quadratic import QuadraticReal, as_qr, qr, sqrt_d
 from suspshift.measures import SturmianMeasure, bernoulli, parry_measure
-from suspshift.subshifts import Cylinder, PeriodicPoint, Sturmian, full_shift, golden_mean_sft
+from suspshift.recode import ChainPoint
+from suspshift.subshifts import (
+    Cylinder, PeriodicPoint, PointOracle, Sturmian, full_shift, golden_mean_sft,
+)
 from suspshift.suspension import (
     CrossSection,
     HorizonExceeded,
@@ -341,19 +344,98 @@ class TestReturnPlan:
             (Cylinder((1, 1), -1), qr(0)), (Cylinder((0,), 2), Fraction(1, 2)),
             (Cylinder((0, 1), 0), Fraction(1, 2)), (Cylinder((1,), 0), sqrt_d(2) / 2),
         ])
+        # inside the roof window, so a sliding read is the roof word's last symbol
+        inner = CrossSection([(Cylinder((0, 1), -1), Fraction(1, 3)),
+                              (Cylinder((1,), 1), qr(0))])
         rng = random.Random(5)
-        for _ in range(40):
-            x = PeriodicPoint(tuple(rng.randrange(2) for _ in range(rng.randrange(2, 11))))
-            idx = rng.randrange(-6, 6)
-            h = fl.roof_at(x, idx) * Fraction(rng.randrange(7), 7)
-            _assert_same_chain(fl, FlowPoint(x, idx, h), sec, 5)
+        for section in (sec, inner):
+            for _ in range(40):
+                x = PeriodicPoint(tuple(rng.randrange(2) for _ in range(rng.randrange(2, 11))))
+                idx = rng.randrange(-6, 6)
+                h = fl.roof_at(x, idx) * Fraction(rng.randrange(7), 7)
+                _assert_same_chain(fl, FlowPoint(x, idx, h), section, 5)
+        assert inner.plan(fl.roof).hi == 2
+
+    def test_two_pieces_in_one_column_either_side_of_the_start(self, unit_flow):
+        # over [0] at 1/4 and, on the word 01, at 3/4: a start between them
+        # lands on the upper one, a start at or above both in a later column
+        sec = CrossSection([(Cylinder((0, 1), 0), Fraction(3, 4)),
+                            (Cylinder((0,), 0), Fraction(1, 4)),
+                            (Cylinder((1,), -1), Fraction(1, 2))])
+        x = PeriodicPoint((0, 1, 1, 0, 0))
+        for h, want in [(Fraction(1, 2), (Fraction(1, 4), 0, 0)),
+                        (Fraction(1, 4), (Fraction(1, 2), 0, 0)),
+                        (Fraction(0), (Fraction(1, 4), 0, 1)),
+                        (Fraction(3, 4), (Fraction(7, 4), 2, 2))]:
+            p = FlowPoint(x, 0, qr(h))
+            t, landing, k = return_to_section(unit_flow, p, sec)
+            assert (t, landing.index, k) == want
+            _assert_same_chain(unit_flow, p, sec, 6)
+
+    def test_chain_point_draws_the_same_atoms(self, two_valued_model):
+        # a window-1 roof over the recoded symbols; every piece lies right of
+        # the roof window's left end, so each return draws left atoms only in
+        # its first read, in the order the per-piece reference draws them
+        aut = two_valued_model.automaton
+        size = 1 + max(c for a in aut.atoms for c in a.emission)
+        words = itertools.product(range(size), repeat=3)
+        fl = SuspensionFlow(full_shift(size), Roof(1, {
+            w: ROOF_VALUES[(w[0] + 2 * w[1] + w[2]) % len(ROOF_VALUES)] for w in words}))
+        sec = CrossSection([(Cylinder((2,), 0), qr(0)), (Cylinder((0, 1), 3), Fraction(1, 3)),
+                            (Cylinder((1, 1, 0), -1), sqrt_d(2) / 4)])
+        for seed in range(12):
+            new, ref = (ChainPoint(aut, random.Random(seed)) for _ in range(2))
+            start = seed - 30
+            p, q = FlowPoint(new, start, qr(0)), FlowPoint(ref, start, qr(0))
+            for _ in range(8):
+                got = return_to_section(fl, p, sec)
+                want = _reference_return(fl, q, sec)
+                assert _return_key(got) == _return_key(want)
+                p, q = got[1], want[1]
+            assert new.chain == ref.chain and new.offset == ref.offset
+            assert new.rng.getstate() == ref.rng.getstate()
+
+    def test_each_base_symbol_is_read_once(self, two_valued_model, unit_flow):
+        # the first column reads its window [lo, hi), each later shift one symbol
+        kac = CrossSection([(Cylinder((0,), 0), qr(0))])
+        rng = random.Random(4)
+        cases = [(unit_flow, kac, make_flow_point(unit_flow, SFTWalk(unit_flow.base, rng)))]
+        flow2 = two_valued_model.flow
+        for _ in range(20):
+            x = flow2.base.point(qr(Fraction(rng.randrange(10**6), 10**6)))
+            cases.append((flow2, two_valued_model.section(), make_flow_point(flow2, x)))
+        for fl, sec, p in cases:
+            plan = sec.plan(fl.roof)
+            for _ in range(4):
+                reads = []
+                oracle = _CountingOracle(p.oracle, reads)
+                _, landing, _ = return_to_section(fl, FlowPoint(oracle, p.index, p.height), sec)
+                shifts = landing.index - p.index + 1
+                assert reads == [plan.hi - plan.lo] + [1] * (shifts - 1)
+                p = FlowPoint(p.oracle, landing.index, landing.height)
+
+    def test_memo_holds_one_outcome_per_window(self, two_valued_model, unit_flow):
+        # a Sturmian orbit shows n + 1 windows of length n; the full shift's
+        # one-symbol windows are 2
+        flow2, sec = two_valued_model.flow, two_valued_model.section()
+        rng = random.Random(6)
+        for _ in range(3000):
+            x = flow2.base.point(qr(Fraction(rng.randrange(10**6), 10**6)))
+            return_to_section(flow2, make_flow_point(flow2, x), sec)
+        plan = sec.plan(flow2.roof)
+        assert plan.hi - plan.lo == 38 and len(plan.outcomes) == 39
+        kac = CrossSection([(Cylinder((0,), 0), qr(0))])
+        p = make_flow_point(unit_flow, SFTWalk(unit_flow.base, rng))
+        for _ in range(500):
+            _, p, _ = return_to_section(unit_flow, p, kac, max_shifts=2000)
+        assert len(kac.plan(unit_flow.roof).outcomes) <= 2
 
     def test_two_valued_section(self, two_valued_model):
         rf = two_valued_model
         sec = rf.section()
         assert len(sec) == 35
         rng = random.Random(8)
-        for _ in range(30):
+        for _ in range(200):
             x = rf.flow.base.point(qr(Fraction(rng.randrange(10**6), 10**6)))
             h = rf.flow.roof_at(x, 0) * Fraction(rng.randrange(100), 101)
             _assert_same_chain(rf.flow, make_flow_point(rf.flow, x, h), sec, 4, 200)
@@ -636,6 +718,17 @@ def test_flow_json_round_trip(mixed_flow):
     clone = flow_from_json(flow_to_json(mixed_flow))
     assert clone.roof.table == mixed_flow.roof.table
     assert clone.base.language(3) == mixed_flow.base.language(3)
+
+
+class _CountingOracle(PointOracle):
+    """Reads `oracle`, appending the length of each block read to `reads`."""
+
+    def __init__(self, oracle, reads):
+        self.oracle, self.reads = oracle, reads
+
+    def block(self, i, j):
+        self.reads.append(j - i)
+        return self.oracle.block(i, j)
 
 
 def _counting(counts, name, fn):
