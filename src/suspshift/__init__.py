@@ -35,7 +35,6 @@ from suspshift.markers import MarkerSet, build_marker, return_spectrum, return_w
 from suspshift.recode import (
     BalancedCode,
     RecodedFlow,
-    recode_near_constant,
     recode_marked_binary,
     recode_two_valued,
 )
@@ -52,8 +51,7 @@ __all__ = [
     "Roof", "SuspensionFlow", "FlowPoint", "CrossSection", "flow",
     "make_flow_point", "return_to_section", "abramov_entropy",
     "MarkerSet", "build_marker", "return_spectrum", "return_words",
-    "BalancedCode", "RecodedFlow", "recode_near_constant", "recode_marked_binary",
-    "recode_two_valued",
+    "BalancedCode", "RecodedFlow", "recode_marked_binary", "recode_two_valued",
     "GeneratorModel", "decode_name", "round_trip",
     "PeriodicCensus", "global_periodic_growth",
 ]

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, qr
 from suspshift.subshifts import (
+    SFT,
     Cylinder,
     EmptySubshift,
     parse_word,
@@ -67,6 +68,7 @@ ERRORS = (
     NoMarkerFound, NoMarkersFound,  # markers, generator
     NotHit, HorizonExceeded, IncommensurableRoof,  # suspension
     EmptySubshift, InsufficientData,  # subshifts, measures
+    ConfigError,
     ValueError, KeyError,
 )
 
@@ -108,6 +110,25 @@ def _measure_param(cfg, subshift):
     return measure_from_json(spec, subshift=subshift)
 
 
+def _sft_system(cfg) -> SFT:
+    """The config's system, which must be an SFT: orbits are sampled by a
+    walk on its graph."""
+    system = subshift_from_json(cfg["system"])
+    if not isinstance(system, SFT):
+        raise ConfigError(f"config key 'system' must be an SFT, not {cfg['system']['kind']!r}")
+    return system
+
+
+def _a_symbols(cfg, system) -> list:
+    """The symbols of the section [a], a nonempty list over the alphabet."""
+    a_symbols = [int(s) for s in cfg["parameters"].get("a_symbols", [0])]
+    size = system.alphabet_size
+    if not a_symbols or not all(0 <= s < size for s in a_symbols):
+        raise ConfigError(f"config key 'a_symbols' must list symbols in 0..{size - 1}, "
+                          f"not {a_symbols}")
+    return a_symbols
+
+
 def _class_rows(pairs):
     """(class, count, min, max) rows, sorted by class, of (class, time) pairs."""
     stats = {}
@@ -126,6 +147,8 @@ def _class_rows(pairs):
 def cmd_entropy(cfg, seed, out_dir, chash):
     system = subshift_from_json(cfg["system"])
     horizon = int(cfg["parameters"].get("horizon", 20))
+    if horizon < 1:
+        raise ConfigError(f"config key 'horizon' must be a positive length, not {horizon}")
     rows = []
     exact = system.entropy_exact()
     if exact is not None:
@@ -249,7 +272,7 @@ def cmd_generator_roundtrip(cfg, seed, out_dir, chash):
 
 
 def cmd_ocap(cfg, seed, out_dir, chash):
-    system = subshift_from_json(cfg["system"])
+    system = _sft_system(cfg)
     p = cfg["parameters"]
     cylinders = [Cylinder(parse_word(w), 0) for w in p["cylinders"]]
     horizon = int(p.get("horizon", 500))
@@ -297,11 +320,13 @@ def cmd_abramov_check(cfg, seed, out_dir, chash):
 
 
 def cmd_kac_check(cfg, seed, out_dir, chash):
-    system = subshift_from_json(cfg["system"])
+    system = _sft_system(cfg)
+    a_symbols = _a_symbols(cfg, system)
     mu = _measure_param(cfg, system)
     p = cfg["parameters"]
-    a_symbols = [int(s) for s in p.get("a_symbols", [0])]
     returns = int(p.get("returns", 100000))
+    if returns < 1:
+        raise ConfigError(f"config key 'returns' must be a positive count, not {returns}")
     tau_max = int(p.get("tau_max", 32))
     partial, truncated = kac_expected_return(mu, a_symbols, tau_max)
     flow = SuspensionFlow(system, Roof.constant(1, system.alphabet_size))
@@ -332,9 +357,9 @@ def cmd_kac_check(cfg, seed, out_dir, chash):
 
 def cmd_induced_check(cfg, seed, out_dir, chash):
     system = subshift_from_json(cfg["system"])
+    a_symbols = _a_symbols(cfg, system)
     mu = _measure_param(cfg, system)
     p = cfg["parameters"]
-    a_symbols = [int(s) for s in p.get("a_symbols", [0])]
     tau_max = int(p.get("tau_max", 32))
     rows = []
     for n in p.get("ns", [10, 12, 14]):

@@ -20,7 +20,7 @@ import math
 import random
 from fractions import Fraction
 
-from suspshift.quadratic import QuadraticReal, _make, as_qr, pair_over, sign_surd
+from suspshift.quadratic import QuadraticReal, as_qr, pair_over, sign_surd
 from suspshift.recode import ChainPoint, PreconditionFailed, RecodedFlow
 from suspshift.subshifts import word_str
 from suspshift.suspension import FlowPoint
@@ -32,11 +32,15 @@ class NoMarkersFound(Exception):
 
 LETTER_P, LETTER_Q, LETTER_A = "P", "Q", "A"
 
+# the largest sweep constant tried: a model needing more is refused rather
+# than swept without end (the shipped sqrt(2) model needs 4)
+M_CAP = 64
+
 
 class GeneratorModel:
     """Time-t map data for t = p and alpha = q - p over a marked-binary recoded flow.
 
-    The time-p walk (`name_of`, `step`, `step_back`) runs on integers.  `den`
+    The time-p walk of `name_of` runs on integers.  `den`
     is the lcm of the denominators C of p, alpha and every atom duration;
     a walk from a height h takes L = lcm(den, C of h), so that each height
     on it is (x + y*sqrt(d))/L for integers x, y.  The walk's heights are h
@@ -76,12 +80,12 @@ class GeneratorModel:
 
     # -- the sweep constant: every phase reaches the low Q-tower ----------
 
-    def _m_condition_constant(self, m_cap: int = 64) -> int:
+    def _m_condition_constant(self) -> int:
         """Smallest M' such that for every s in [0, q) some 0 <= u < M',
         0 <= v <= u+1 give s + u p = v q + beta with beta in [0, alpha);
         exact interval-cover sweep over the breakpoints."""
         zero = as_qr(0)
-        for m_try in range(1, m_cap + 1):
+        for m_try in range(1, M_CAP + 1):
             intervals = []
             for u in range(m_try):
                 for v in range(u + 2):
@@ -113,10 +117,6 @@ class GeneratorModel:
         height = roof * Fraction(rng.randrange(0, 1000), 1001)
         return FlowPoint(chain, coord, height)
 
-    def roof_at(self, chain: ChainPoint, coord: int) -> QuadraticReal:
-        chain.cover(coord - self.reach, coord + self.reach)
-        return chain.roofs[coord - chain.offset]
-
     # -- the integer walk ----------------------------------------------------
 
     def _integer_form(self, h: QuadraticReal):
@@ -139,8 +139,8 @@ class GeneratorModel:
         while h < 0, else up while h >= roof.  A negative h must lie below
         roof(coord), as it does after a time shift back, since the walk down
         stops at h >= 0.  Each roof read first covers +-reach around its
-        coordinate, as `roof_at` does; a cover that would extend nothing is
-        skipped."""
+        coordinate, as `sample_point` does; a cover that would extend
+        nothing is skipped."""
         reach, roofs = self.reach, chain.roofs
         off, lo, hi = self._bounds(chain)
         if sign_surd(x, y, d) < 0:
@@ -166,25 +166,6 @@ class GeneratorModel:
             x -= rx
             y -= ry
             coord += 1
-
-    def _shifted(self, pt: FlowPoint, k: int) -> FlowPoint:
-        """The point phi_{k p}(pt), as one settle from height h + k p."""
-        x, y, L, d = self._integer_form(pt.height)
-        px, py = pair_over(self.p, L)
-        coord, x, y = self._settle(pt.oracle, pt.index, x + k * px, y + k * py, L, d)
-        return FlowPoint(pt.oracle, coord, _make(x, y, L, d))
-
-    def step(self, pt: FlowPoint) -> FlowPoint:
-        """Exact time-p map on the recoded suspension."""
-        return self._shifted(pt, 1)
-
-    def step_back(self, pt: FlowPoint) -> FlowPoint:
-        return self._shifted(pt, -1)
-
-    def letter(self, pt: FlowPoint) -> str:
-        if pt.base_block(0, 1)[0] == 1:
-            return LETTER_P
-        return LETTER_Q if pt.height < self.alpha else LETTER_A
 
     def _walk(self, pt: FlowPoint, n: int):
         """The name of `name_of` and the chain coordinate of its first P
@@ -215,8 +196,8 @@ class GeneratorModel:
 
         One pass: a single jump to time -2np, then 4n forward time-p steps,
         each letter read from the chain's symbols and the test h < alpha.
-        The chain is read, and so materialized, exactly as by 2n `step_back`
-        calls followed by 4n `step` calls."""
+        The chain is read, and so materialized, exactly as by 2n single
+        steps back of the time-p map followed by 4n single steps forward."""
         return self._walk(pt, n)[0]
 
 

@@ -22,16 +22,28 @@ def sturmian_root2_flow() -> SuspensionFlow:
     return SuspensionFlow(Sturmian(sqrt_d(2) - 1), Roof.constant(sqrt_d(2)))
 
 
-def find_two_valued_marker(flow, layout, max_word_len=110, depth=420):
-    return find_marker_with_feasible_gaps(
-        flow, lambda gap, t: layout.pair(t) is not None, max_word_len, depth)
+# the longest marker word the two-valued search tries before it gives up
+# (the shipped marker has length 5)
+TWO_VALUED_MAX_WORD_LEN = 110
+# the same for the marked-binary search (the shipped marker has length 12)
+MARKED_BINARY_MAX_WORD_LEN = 60
+# the code words each marked-binary atom must have room for during the
+# search: it stands in for |language(n)|, unknown until the marker fixes n
+# (54 on the shipped build), and the build plans again at the true count
+MARKED_BINARY_LANG_BOUND = 130
+# the K the search screens with; the build's layout tries its own range
+MARKED_BINARY_KS = range(2, 7)
 
 
-def find_marked_binary_marker(flow, layout, max_word_len=60, depth=420,
-                    lang_bound=130, k_range=(2, 7)):
-    ks = range(*k_range)
+def find_two_valued_marker(flow, layout, depth=420):
     return find_marker_with_feasible_gaps(
-        flow, lambda gap, t: layout.feasible(t, lang_bound, ks), max_word_len, depth)
+        flow, lambda gap, t: layout.pair(t) is not None, TWO_VALUED_MAX_WORD_LEN, depth)
+
+
+def find_marked_binary_marker(flow, layout, depth=420):
+    return find_marker_with_feasible_gaps(
+        flow, lambda gap, t: layout.feasible(t, MARKED_BINARY_LANG_BOUND, MARKED_BINARY_KS),
+        MARKED_BINARY_MAX_WORD_LEN, depth)
 
 
 def build_two_valued_instance(flow=None, p=None, q=None, epsilon=Fraction(1, 10),

@@ -143,14 +143,6 @@ class MarkovMeasure(Measure):
     def block_entropy(self, n: int) -> float:
         return self.block_entropy_total(n) / n
 
-    def to_json(self):
-        return {
-            "kind": "markov",
-            "P": [[str(x) for x in row] for row in self.P],
-            "pi": [str(x) for x in self.pi],
-        }
-
-
 def sum_exact(xs):
     xs = list(xs)
     total = xs[0]

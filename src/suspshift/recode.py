@@ -1,16 +1,14 @@
 """Cross-section recoding of suspension flows over aperiodic subshifts.
 
-One routine, `_recode`, builds every construction from a certified marker
+One routine, `_recode`, builds both constructions from a certified marker
 word: the marker atoms with their exact return times, a code word per atom
 ranked in the sorted base language, an exactly checked schedule per atom,
 and the atom automaton.  Each construction's rules (steps, per-atom plan,
-emission, separator, range of the last return) live in one layout class:
+emission, separator, range of the last return) live in one of two layouts:
 
 * `TwoValuedLayout`: return times exactly p, exactly q, or in (0, delta);
 * `MarkedBinaryLayout`: return times exactly p or in (q, q+delta), with a
-  marking pattern locating the marker returns in every long window;
-* `NearConstantLayout`: all return times within 2*eps of a target, stepped
-  through the numerical semigroup of two consecutive integers over N.
+  marking pattern locating the marker returns in every long window.
 
 The set-up's arithmetic is on integers.  `candidate_pairs` holds t, p, q
 and delta as pairs (x, y) of (x + y*sqrt(d))/L over one denominator and
@@ -639,8 +637,6 @@ class RecodedFlow:
         """
         if self.flow.roof.m != 0:
             raise PreconditionFailed("finite-window decoding needs a window-0 roof")
-        if self.layout.separator is None:
-            raise PreconditionFailed(f"the {self.kind} layout has no separator")
         window = tuple(window)
         center = len(window) // 2
         cuts = [o + self.layout.cut for o in
@@ -686,10 +682,9 @@ def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None) -> R
     codes = {}
     for atom in atoms:
         args = layout.code_args(atom)
-        if args is not None:
-            if args not in codes:
-                codes[args] = BalancedCode(*args)
-            atom.code_word = codes[args].unrank(rank[atom.n_word])
+        if args not in codes:
+            codes[args] = BalancedCode(*args)
+        atom.code_word = codes[args].unrank(rank[atom.n_word])
         atom.emission = layout.emission(atom)
         _schedule_atom(atom, layout)
     automaton = AtomAutomaton(atoms, atom_transitions(flow, atoms), layout.alphabet_size)
@@ -711,8 +706,7 @@ def _schedule_atom(atom: MarkerAtom, layout):
     the QuadraticReals that adding the steps from as_qr(0) gives, radicand
     included."""
     emission, gap, bounds = atom.emission, atom.gap, atom.col_bounds
-    steps = {sym: as_qr(v) for sym, v in layout.steps.items()}
-    lo, hi = (as_qr(v) for v in layout.last_range)
+    steps, (lo, hi) = layout.steps, layout.last_range
     values = [*steps.values(), lo, hi, *bounds]
     d = common_radicand(values) or 0
     L = math.lcm(*(v.C for v in values))
@@ -736,7 +730,7 @@ def _schedule_atom(atom: MarkerAtom, layout):
                 od = steps[sym].d
     tx, ty = bound_pairs[-1]
     last_x, last_y = tx - ox, ty - oy
-    atom.durations = [layout.steps[sym] for sym in emission[:-1]]
+    atom.durations = [steps[sym] for sym in emission[:-1]]
     atom.durations.append(_make(last_x, last_y, L, od if oy else atom.t_return.d))
     (lx, ly), (hx, hy) = pair_over(lo, L), pair_over(hi, L)
     if not (sign_surd(last_x - lx, last_y - ly, d) > 0
@@ -931,74 +925,8 @@ class MarkedBinaryLayout(_CodedLayout):
                 "K": self.K, "n": n, "pattern": self.separator}
 
 
-class NearConstantLayout:
-    """All return times within 2*eps of the target a - eps, where
-    a = log 2 / h_top + eps (or the supplied target plus eps): k steps
-    p = [Na]/N, then l steps q = ([Na]+1)/N over the denominator N > 3/eps.
-    Both steps lie within 4*eps/3 of the target, so only each atom's last
-    return needs its range checked.  There is no code word and no
-    separator: the itinerary system is the output, and the final symbol
-    embedding is out of scope."""
-
-    kind = "near-constant"
-    alphabet_size = 2
-    separator = None
-    relaxed = False
-
-    def __init__(self, epsilon, h_top, target_a):
-        eps = Fraction(epsilon)
-        if eps <= 0:
-            raise PreconditionFailed("epsilon must be positive")
-        if (h_top is None) == (target_a is None):
-            raise PreconditionFailed("give exactly one of h_top, target_a")
-        if h_top is not None:
-            if h_top <= 0:
-                raise PreconditionFailed(
-                    "h_top must be positive; zero-entropy callers supply target_a"
-                )
-            a = Fraction(math.log(2) / h_top).limit_denominator(10**6) + eps
-        else:
-            a = Fraction(target_a) + eps
-        self.eps, self.big_n = eps, int(3 / eps) + 1
-        self.m_int = int(self.big_n * a)  # [N a]
-        if self.m_int < 2:
-            raise PreconditionFailed("target too small for the step grid")
-        self.p, self.q = Fraction(self.m_int, self.big_n), Fraction(self.m_int + 1, self.big_n)
-        self.steps = {0: self.p, 1: self.q}
-        self.target = a - eps
-        self.last_range = (self.target - 2 * eps, self.target + 2 * eps)
-
-    def check_flow(self, flow: SuspensionFlow):
-        pass  # no entropy condition: the target already comes from h_top
-
-    def plan(self, atoms, lang_count: int):
-        threshold = self.m_int * (self.m_int - 1)  # Frobenius bound for {m, m+1}
-        for atom in atoms:
-            r_int = (atom.t_return * self.big_n + Fraction(1, 2)).floor()
-            if r_int <= threshold:
-                raise InfeasibleSchedule(
-                    f"marker return {float(atom.t_return):.3f} below the "
-                    f"semigroup threshold {threshold}/{self.big_n}"
-                )
-            # above the threshold s >= rem, so k = s - rem >= 0
-            s, rem = divmod(r_int, self.m_int)
-            atom.k, atom.l = s - rem, rem
-            last_step = self.q if atom.l else self.p
-            atom.remainder = atom.t_return - (self.p * atom.k + self.q * atom.l) + last_step
-
-    def code_args(self, atom):
-        return None
-
-    def emission(self, atom):
-        return (0,) * atom.k + (1,) * atom.l
-
-    def constants(self, n: int) -> dict:
-        return {"target": self.target, "epsilon": self.eps, "grid_n": self.big_n,
-                "step_p": self.p, "step_q": self.q, "n": n}
-
-
 # ---------------------------------------------------------------------------
-# the three constructions
+# the two constructions
 
 
 def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, layout: TwoValuedLayout,
@@ -1014,15 +942,6 @@ def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, layout: Marked
     layout's ks that schedules every atom; the layout keeps the candidate
     pairs the marker search found."""
     return _recode(flow, marker, layout, n)
-
-
-def recode_near_constant(flow: SuspensionFlow, marker: MarkerSet, epsilon,
-               h_top: float | None = None, target_a=None, n: int | None = None) -> RecodedFlow:
-    """Cross-section with all return times within 2*epsilon of the target
-    a = log 2 / h_top + epsilon (or the supplied target for zero-entropy
-    bases), stepped through the numerical semigroup of [Na], [Na]+1 over the
-    denominator N > 3/epsilon; Z is the itinerary system."""
-    return _recode(flow, marker, NearConstantLayout(epsilon, h_top, target_a), n)
 
 
 # ---------------------------------------------------------------------------

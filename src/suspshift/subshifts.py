@@ -184,10 +184,6 @@ class Subshift:
             if not 0 <= c < self.alphabet_size:
                 raise ValueError(f"symbol {c} outside alphabet of size {self.alphabet_size}")
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
 def topological_entropy(subshift: Subshift, horizon: int | None = None) -> float:
     """Entropy in nats: exact (log Perron root) for SFTs, otherwise the
     subadditive upper estimate (1/n) log |language(n)| at n = horizon."""
@@ -355,20 +351,6 @@ class SFT(Subshift):
         out.sort(key=lambda p: p.word)
         return out
 
-    def to_json(self):
-        if self.memory == 1 and not any(len(f) != 2 for f in self.forbidden):
-            adj = [
-                [1 if (i, j) not in set(self.forbidden) else 0 for j in range(self.alphabet_size)]
-                for i in range(self.alphabet_size)
-            ]
-            return {"kind": "sft", "alphabet_size": self.alphabet_size, "adjacency": adj}
-        return {
-            "kind": "sft",
-            "alphabet_size": self.alphabet_size,
-            "forbidden": [word_str(f) for f in self.forbidden],
-        }
-
-
 def full_shift(k: int) -> SFT:
     return SFT(k, adjacency=[[1] * k for _ in range(k)])
 
@@ -516,14 +498,6 @@ class Sturmian(Subshift):
     def periodic_points(self, n: int) -> list:
         return []  # irrational rotation codings are aperiodic
 
-    def to_json(self):
-        return {
-            "kind": "sturmian",
-            "alpha": self.alpha.to_json(),
-            "convention": self.convention,
-        }
-
-
 # ---------------------------------------------------------------------------
 # products
 
@@ -553,14 +527,6 @@ class ProductSubshift(Subshift):
             for p2 in self.second.periodic_points(n):
                 pts.append(PeriodicPoint(self.join(p1.block(0, n), p2.block(0, n))))
         return pts
-
-    def to_json(self):
-        return {
-            "kind": "product",
-            "first": self.first.to_json(),
-            "second": self.second.to_json(),
-        }
-
 
 def subshift_from_json(obj: dict) -> Subshift:
     kind = obj["kind"]

@@ -75,15 +75,6 @@ class Roof:
         """Exact integral of the roof against a shift-invariant measure."""
         return integrate_locally_constant(self.table, measure)
 
-    def to_json(self):
-        from suspshift.subshifts import word_str
-
-        return {
-            "window": self.m,
-            "table": {word_str(w): v.to_json() for w, v in self.table.items()},
-        }
-
-
 @dataclass(frozen=True)
 class SuspensionFlow:
     base: Subshift

@@ -178,6 +178,48 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
         "the SFT over 2 symbols forbidding ['0', '1'] has no bi-infinite point"
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("ocap", {"system": STURMIAN, "parameters": {"cylinders": ["1"]}}, "system"),
+    ("kac-check", {"system": STURMIAN, "parameters": {"returns": 10}}, "system"),
+    ("entropy", {"system": GOLDEN, "parameters": {"horizon": 0}}, "horizon"),
+    ("entropy", {"system": GOLDEN, "parameters": {"horizon": -3}}, "horizon"),
+    ("kac-check", {"system": FULL2, "parameters": {"a_symbols": [3], "returns": 10}},
+     "a_symbols"),
+    ("kac-check", {"system": FULL2, "parameters": {"a_symbols": [], "returns": 10}},
+     "a_symbols"),
+    ("kac-check", {"system": FULL2, "parameters": {"returns": 0}}, "returns"),
+    ("induced-check", {"system": FULL2, "parameters": {"a_symbols": [3]}}, "a_symbols"),
+], ids=["ocap-sturmian", "kac-check-sturmian", "entropy-horizon-0", "entropy-horizon-negative",
+        "kac-check-symbol-3", "kac-check-no-symbol", "kac-check-no-return",
+        "induced-check-symbol-3"])
+def test_bad_parameter_emits_config_error_naming_its_key(tmp_path, capsys, command, config,
+                                                         key):
+    # a bad value of one key ends in a ConfigError that names it, before
+    # the command writes any output
+    code, out = run_cli(tmp_path, command, config)
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.out.strip().split("\n")[-1])
+    assert err["error"] == "ConfigError"
+    assert repr(key) in err["precondition"]
+    assert list(out.iterdir()) == []
+
+
+def test_generator_letter_budget_emits_error_json(tmp_path, capsys):
+    # Sturmian((sqrt5-1)/2), roof sqrt5, p = 1, q = (1+sqrt5)/2: the build
+    # succeeds and the generator refuses 2(q - p) >= p
+    root5 = {"a": "0", "b": "1", "d": 5}
+    cfg = {"system": {"base": {"kind": "sturmian", "alpha": {"a": "-1/2", "b": "1/2", "d": 5}},
+                      "roof": {"window": 0, "table": {"0": root5, "1": root5}}},
+           "parameters": {"p": {"a": "1", "b": "0"}, "q": {"a": "1/2", "b": "1/2", "d": 5},
+                          "M": 2, "delta": {"a": "-1/2", "b": "1/2", "d": 5}, "points": 2}}
+    code, _ = run_cli(tmp_path, "generator-roundtrip", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"] == "PreconditionFailed"
+    assert "need 2(q - p) < p" in err["precondition"]
+
+
 def test_recode_two_valued_rejects_rational_dependence(tmp_path, capsys):
     cfg = {"system": ROOT2_FLOW,
            "parameters": {"p": {"a": "1", "b": "0"}, "q": {"a": "1", "b": "0"},

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from suspshift import instances, markers, recode
 from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 from suspshift.quadratic import QuadraticReal, as_qr, qr, rationally_independent, sqrt_d
-from suspshift.markers import NoMarkerFound, build_marker, return_spectrum
+from suspshift.markers import NoMarkerFound, return_spectrum
 from suspshift.recode import (
     BalancedCode,
     CapacityExceeded,
@@ -23,7 +23,6 @@ from suspshift.recode import (
     TwoValuedLayout,
     candidate_pairs,
     find_marker_with_feasible_gaps,
-    recode_near_constant,
     recode_two_valued,
 )
 from suspshift.subshifts import SFT, Cylinder, Sturmian, word_str
@@ -182,11 +181,9 @@ def reference_schedule_atom(atom, layout):
         )
 
 
-def exact_form(x):
-    """A value with its type and exact integer form, radicand included."""
-    if isinstance(x, QuadraticReal):
-        return "QR", x.A, x.B, x.C, x.d
-    return type(x).__name__, x
+def exact_form(x: QuadraticReal):
+    """A value's exact integer form, radicand included."""
+    return x.A, x.B, x.C, x.d
 
 
 class TestDGap:
@@ -855,17 +852,9 @@ def _two_valued(angle, roof, q):
     return lambda: build_two_valued_instance(flow=flow, p=qr(1), q=q)
 
 
-def _near_constant(angle, roof):
-    flow = SuspensionFlow(Sturmian(angle), Roof.constant(roof))
-    marker = build_marker(flow.base, n=26, max_word_len=20, depth=200)
-    return lambda: recode_near_constant(flow, marker, Fraction(1, 4), target_a=Fraction(3, 2))
-
-
-# the shipped builds, the generator's other marked-binary instances, the
-# sqrt7-2 two-valued instance, and a near-constant build whose rational
-# offsets meet a sqrt3 return time
+# the shipped builds, the generator's other marked-binary instances and the
+# sqrt7-2 two-valued instance
 INSTANCE_BUILDS = {
-    "near-constant sqrt3-1": _near_constant(sqrt_d(3) - 1, sqrt_d(3)),
     "marked-binary sqrt2-1": _marked_binary(sqrt_d(2) - 1, sqrt_d(2), sqrt_d(2)),
     "marked-binary sqrt3-1": _marked_binary(sqrt_d(3) - 1, sqrt_d(3), (1 + sqrt_d(3)) / 2),
     "marked-binary sqrt7-2": _marked_binary(sqrt_d(7) - 2, sqrt_d(7), sqrt_d(7) - Fraction(3, 2)),
@@ -891,9 +880,8 @@ def test_setup_equals_the_quadratic_reference(name, monkeypatch):
         assert (a.k, a.l, exact_form(a.remainder)) == (b.k, b.l, exact_form(b.remainder))
         args = rf.layout.code_args(a)
         assert args == ref.layout.code_args(b)
-        if args is not None:
-            assert a.code_word == b.code_word \
-                == ref.codes[args].unrank(sorted(ref.flow.base.language(ref.n)).index(a.n_word))
+        assert a.code_word == b.code_word \
+            == ref.codes[args].unrank(sorted(ref.flow.base.language(ref.n)).index(a.n_word))
         assert a.emission == b.emission
         assert a.columns == b.columns
         assert list(map(exact_form, a.offsets)) == list(map(exact_form, b.offsets))
@@ -994,50 +982,3 @@ class TestSqrt7TwoValued:
             word, center_idx = rf.decode(window)
             truth = tuple(x.block(center_base - 25, center_base + 26))
             assert tuple(word[center_idx - 25 : center_idx + 26]) == truth
-
-
-@pytest.fixture(scope="module")
-def wide_marker(root2_flow):
-    # big enough separation that every return clears the numerical semigroup
-    # threshold for eps = 1/4
-    return build_marker(root2_flow.base, n=26, max_word_len=20, depth=200)
-
-
-class TestRecodeBog:
-    def test_small_marker_is_infeasible(self, root2_flow):
-        from suspshift.recode import InfeasibleSchedule
-
-        small = build_marker(root2_flow.base, n=5, max_word_len=20, depth=200)
-        with pytest.raises(InfeasibleSchedule, match="semigroup threshold"):
-            recode_near_constant(root2_flow, small, Fraction(1, 4), target_a=Fraction(3, 2))
-
-    def test_near_constant_returns(self, root2_flow, wide_marker):
-        eps = Fraction(1, 4)
-        target = Fraction(3, 2)
-        rf = recode_near_constant(root2_flow, wide_marker, eps, target_a=target)
-        section, automaton = rf.section(), rf.automaton
-        a_post = float(target + eps)
-        for atom in automaton.atoms:
-            total = sum((d for d in atom.durations), qr(0))
-            assert total == atom.t_return
-            for d in atom.durations:
-                assert abs(float(d) - a_post) < 2 * float(eps)
-        # returns land on the section exactly, with near-constant times
-        assert check_disjoint(section)
-        pt = root2_flow.base.point(qr(Fraction(4, 9)))
-        fp = make_flow_point(root2_flow, pt, 0)
-        t, landing, k = return_to_section(root2_flow, fp, section, max_shifts=120)
-        for _ in range(25):
-            t, landing, k = return_to_section(root2_flow, landing, section,
-                                              max_shifts=120)
-            piece = section.pieces[k]
-            assert landing.height == piece.offset
-            assert abs(float(t) - a_post) < 2 * float(eps)
-
-    def test_itinerary_entropy_below_log2(self, root2_flow, wide_marker):
-        rf = recode_near_constant(root2_flow, wide_marker, Fraction(1, 4),
-                                  target_a=Fraction(3, 2))
-        itinerary = rf.automaton
-        m = 14
-        count = len(itinerary.language(m))
-        assert math.log(count) / m <= math.log(2) + 0.05

@@ -22,13 +22,8 @@ PACKAGE = ROOT / "src" / "suspshift"
 # definitions kept with no caller outside the tests, each with its reason
 ALLOWED = {
     "suspension.flow": "the flow map itself; acceptance criteria call it",
-    "recode.recode_near_constant": "one of the three documented constructions",
     "recode.BalancedCode.rank": "the inverse of unrank; acceptance criteria check the "
                                 "codes are bijections through it",
-    "generator.GeneratorModel.step": "one step of the time-p map that the generator names",
-    "generator.GeneratorModel.step_back": "the inverse step of the time-p map",
-    "generator.GeneratorModel.letter": "the tower letter of a point, the generator's "
-                                       "partition",
 }
 
 

@@ -12,7 +12,7 @@ from suspshift.quadratic import QuadraticReal, as_qr, qr, sqrt_d
 from suspshift.measures import SturmianMeasure, bernoulli, parry_measure
 from suspshift.recode import ChainPoint
 from suspshift.subshifts import (
-    Cylinder, PeriodicPoint, PointOracle, Sturmian, full_shift, golden_mean_sft,
+    Cylinder, PeriodicPoint, PointOracle, Sturmian, full_shift, golden_mean_sft, word_str,
 )
 from suspshift.suspension import (
     CrossSection,
@@ -42,7 +42,7 @@ from test_exact_oracles import (
     _return_key,
     scan_match,
 )
-from test_subshifts import cylinders_disjoint
+from test_subshifts import cylinders_disjoint, subshift_to_json
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -171,7 +171,11 @@ def occupation_fraction_flow(flow_sys, point: FlowPoint, slabs, duration,
 
 
 def flow_to_json(flow_sys: SuspensionFlow) -> dict:
-    return {"base": flow_sys.base.to_json(), "roof": flow_sys.roof.to_json()}
+    """The config JSON of a flow, as `flow_from_json` reads it."""
+    roof = flow_sys.roof
+    return {"base": subshift_to_json(flow_sys.base),
+            "roof": {"window": roof.m,
+                     "table": {word_str(w): v.to_json() for w, v in roof.table.items()}}}
 
 
 class TestFlowMap:
