@@ -33,6 +33,7 @@ from suspshift.measures import (
     bernoulli,
     measure_from_json,
     parry_measure,
+    sum_exact,
 )
 from suspshift.suspension import (
     Roof,
@@ -119,24 +120,62 @@ def _sft_system(cfg) -> SFT:
     return system
 
 
+def _positive(p, key, default, what):
+    """The integer parameter `key`, which must be at least 1."""
+    value = int(p.get(key, default))
+    if value < 1:
+        raise ConfigError(f"config key {key!r} must be a positive {what}, not {value}")
+    return value
+
+
+def _words(p, key, default, parse, size) -> list:
+    """The list parameter `key`, each entry read into a word by `parse`:
+    nonempty, with every symbol in 0..size-1."""
+    raw = p.get(key, default)
+    try:
+        words = [parse(x) for x in raw] if isinstance(raw, list) else []
+    except (TypeError, ValueError):
+        words = []
+    if not words or not all(0 <= s < size for w in words for s in w):
+        raise ConfigError(f"config key {key!r} must be a nonempty list over "
+                          f"0..{size - 1}, not {raw!r}")
+    return words
+
+
 def _a_symbols(cfg, system) -> list:
     """The symbols of the section [a], a nonempty list over the alphabet."""
-    a_symbols = [int(s) for s in cfg["parameters"].get("a_symbols", [0])]
-    size = system.alphabet_size
-    if not a_symbols or not all(0 <= s < size for s in a_symbols):
-        raise ConfigError(f"config key 'a_symbols' must list symbols in 0..{size - 1}, "
-                          f"not {a_symbols}")
-    return a_symbols
+    words = _words(cfg["parameters"], "a_symbols", [0], lambda s: (int(s),),
+                   system.alphabet_size)
+    return [w[0] for w in words]
 
 
-def _class_rows(pairs):
-    """(class, count, min, max) rows, sorted by class, of (class, time) pairs."""
-    stats = {}
+def _time_counts(pairs) -> dict:
+    """{(class, A, B, C): [count, time]} of (class, exact time) pairs: each
+    distinct pair once, keyed on the time's unique integer form
+    (A + B*sqrt(d))/C."""
+    counts = {}
     for cls, t in pairs:
-        cur = stats.setdefault(cls, [0, t, t])
-        cur[0] += 1
-        cur[1] = min(cur[1], t)
-        cur[2] = max(cur[2], t)
+        key = (cls, t.A, t.B, t.C)
+        entry = counts.get(key)
+        if entry is None:
+            counts[key] = [1, t]
+        else:
+            entry[0] += 1
+    return counts
+
+
+def _class_rows(counts):
+    """(class, count, min, max) rows, sorted by class, of `_time_counts`:
+    the min and max are taken over the distinct times only."""
+    stats = {}
+    for (cls, *_), (n, t) in counts.items():
+        cur = stats.get(cls)
+        if cur is None:
+            stats[cls] = [n, t, t]
+        else:
+            cur[0] += n
+            cur[1] = min(cur[1], t)
+            cur[2] = max(cur[2], t)
     return [(cls, c, repr(float(mn)), repr(float(mx)))
             for cls, (c, mn, mx) in sorted(stats.items())]
 
@@ -146,9 +185,7 @@ def _class_rows(pairs):
 
 def cmd_entropy(cfg, seed, out_dir, chash):
     system = subshift_from_json(cfg["system"])
-    horizon = int(cfg["parameters"].get("horizon", 20))
-    if horizon < 1:
-        raise ConfigError(f"config key 'horizon' must be a positive length, not {horizon}")
+    horizon = _positive(cfg["parameters"], "horizon", 20, "length")
     rows = []
     exact = system.entropy_exact()
     if exact is not None:
@@ -203,7 +240,7 @@ def cmd_recode_two_valued(cfg, seed, out_dir, chash):
     horizon = int(p.get("horizon", 10000))
     pt = rf.sample_point(seed)
     census = rf.return_census_positions(pt, 0, horizon)[:returns]
-    rows = _class_rows((rf.return_class(t), t) for _, _, t in census)
+    rows = _class_rows(_time_counts((rf.return_class(t), t) for _, _, t in census))
     files = [_write_csv(out_dir, "two_valued_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
     window = pt.block(0, horizon)
@@ -233,7 +270,7 @@ def cmd_recode_marked_binary(cfg, seed, out_dir, chash):
     horizon = int(p.get("horizon", 4000))
     pt = rf.sample_point(seed)
     census = rf.return_census_positions(pt, 0, horizon)
-    rows = _class_rows((rf.return_class(t), t) for _, _, t in census)
+    rows = _class_rows(_time_counts((rf.return_class(t), t) for _, _, t in census))
     files = [_write_csv(out_dir, "marked_binary_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
     pattern = rf.constants["pattern"]
@@ -274,9 +311,10 @@ def cmd_generator_roundtrip(cfg, seed, out_dir, chash):
 def cmd_ocap(cfg, seed, out_dir, chash):
     system = _sft_system(cfg)
     p = cfg["parameters"]
-    cylinders = [Cylinder(parse_word(w), 0) for w in p["cylinders"]]
-    horizon = int(p.get("horizon", 500))
-    samples = int(p.get("samples", 20))
+    cylinders = [Cylinder(w, 0) for w in _words(p, "cylinders", None, parse_word,
+                                                system.alphabet_size)]
+    horizon = _positive(p, "horizon", 500, "length")
+    samples = _positive(p, "samples", 20, "count")
     period_max = int(p.get("period_max", 12))
     rng = random.Random(seed)
     orbits = [
@@ -324,23 +362,21 @@ def cmd_kac_check(cfg, seed, out_dir, chash):
     a_symbols = _a_symbols(cfg, system)
     mu = _measure_param(cfg, system)
     p = cfg["parameters"]
-    returns = int(p.get("returns", 100000))
-    if returns < 1:
-        raise ConfigError(f"config key 'returns' must be a positive count, not {returns}")
-    tau_max = int(p.get("tau_max", 32))
+    returns = _positive(p, "returns", 100000, "count")
+    tau_max = _positive(p, "tau_max", 32, "return time")
     partial, truncated = kac_expected_return(mu, a_symbols, tau_max)
     flow = SuspensionFlow(system, Roof.constant(1, system.alphabet_size))
     section = CrossSection([(Cylinder((s,), 0), qr(0)) for s in a_symbols])
     # one lazily drawn orbit: its first hit of the section, then `returns` returns
     point = make_flow_point(flow, SFTWalk(system, random.Random(seed)))
     _, point, _ = return_to_section(flow, point, section, max_shifts=2000)
-    total = qr(0)
     pairs = []
     for _ in range(returns):
         t, point, k = return_to_section(flow, point, section, max_shifts=2000)
-        total = total + t
         pairs.append((k, t))
-    mean = float(total) / returns
+    # the returns take few distinct times: sum and compare those only
+    counts = _time_counts(pairs)
+    mean = float(sum_exact([t * n for n, t in counts.values()])) / returns
     rows = [
         ("simulated_mean", repr(mean)),
         ("returns", returns),
@@ -350,7 +386,7 @@ def cmd_kac_check(cfg, seed, out_dir, chash):
     files = [_write_csv(out_dir, "kac.csv", ("quantity", "value"), rows, chash)]
     files.append(
         _write_csv(out_dir, "return_spectra.csv",
-                   ("piece", "count", "min", "max"), _class_rows(pairs), chash)
+                   ("piece", "count", "min", "max"), _class_rows(counts), chash)
     )
     return files
 
@@ -360,7 +396,7 @@ def cmd_induced_check(cfg, seed, out_dir, chash):
     a_symbols = _a_symbols(cfg, system)
     mu = _measure_param(cfg, system)
     p = cfg["parameters"]
-    tau_max = int(p.get("tau_max", 32))
+    tau_max = _positive(p, "tau_max", 32, "return time")
     rows = []
     for n in p.get("ns", [10, 12, 14]):
         lhs, rhs, gap, trunc = induced_entropy_identity(mu, a_symbols, int(n),

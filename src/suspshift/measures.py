@@ -233,15 +233,13 @@ class EmpiricalMeasure(Measure):
     """
 
     def __init__(self, oracle: PointOracle, start: int, length: int,
-                 max_block: int, subshift: Subshift | None = None,
-                 exact_period: bool = False):
+                 max_block: int, subshift: Subshift | None = None):
         if length < 1:
             raise ValueError("length >= 1")
         self.oracle = oracle
         self.start = start
         self.length = length
         self.max_block = max_block
-        self.exact_period = exact_period
         self.subshift = subshift if subshift is not None else full_shift(
             max(oracle.block(start, start + length)) + 1
         )
@@ -256,7 +254,7 @@ class EmpiricalMeasure(Measure):
 
     @classmethod
     def of_periodic_point(cls, point, max_block: int, subshift=None):
-        return cls(point, 0, point.period, max_block, subshift, exact_period=True)
+        return cls(point, 0, point.period, max_block, subshift)
 
     def mass(self, word: Word):
         n = len(word)
@@ -265,12 +263,6 @@ class EmpiricalMeasure(Measure):
         if n > self.max_block:
             raise InsufficientData(f"block length {n} > max_block {self.max_block}")
         return self._tables[n].get(tuple(word), _ZERO)
-
-    def block_entropy(self, n: int) -> float:
-        # a full period carries the exact block law; otherwise demand data
-        if not self.exact_period and self.length < 10 * n:
-            raise InsufficientData(f"orbit segment {self.length} < 10*{n}")
-        return -sum(_xlogx(p) for p in self._tables[n].values()) / n
 
 
 class SturmianMeasure(Measure):

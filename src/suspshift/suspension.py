@@ -20,7 +20,7 @@ from suspshift.quadratic import (
     pair_over,
     sign_surd,
 )
-from suspshift.measures import Measure, _xlogx, integrate_locally_constant, sum_exact
+from suspshift.measures import _ZERO, Measure, _xlogx, integrate_locally_constant, sum_exact
 from suspshift.subshifts import Cylinder, PointOracle, Subshift, Word
 
 
@@ -329,66 +329,153 @@ def time_delta_tower_entropy(measure: Measure, roof: Roof, delta, labels, n: int
 # induced-system entropy identity (Kac / Abramov mechanism)
 
 
-def return_time_distribution(measure, a_symbols, tau_max: int = 30):
-    """Exact induced return-time law on A = union of single-symbol cylinders
-    of a memory-1 Markov measure, truncated at tau_max.
+class _ReturnLaw(NamedTuple):
+    """The return-time law to A in integer form.  With L = `den`, mu(A)
+    read as (m1 + m2*sqrt(d))/L_pi and T = tau_max:
+    P(tau_A = tau) = (x + y*sqrt(d)) / (L**tau * (m1 + m2*sqrt(d))) for the
+    pair (x, y) = hits[tau - 1], which is None when no allowed transition
+    reaches A at tau; `mass` and `mean` are the pairs of the sums of
+    P(tau_A = tau) and of tau * P(tau_A = tau) over tau <= T, on the common
+    denominator L**T * (m1 + m2*sqrt(d)).  d is None when the law is
+    rational."""
 
-    Returns (dict tau -> exact probability, truncated tail mass).
-    """
+    hits: list
+    den: int
+    mu: tuple
+    d: int | None
+    mass: tuple
+    mean: tuple
+
+    def value(self, x: int, y: int, den: int):
+        """(x + y*sqrt(d)) / (den * mu(A) * L_pi) as a Fraction, or as a
+        QuadraticReal when the law is quadratic."""
+        m1, m2 = self.mu
+        d = self.d
+        if d is None:
+            return Fraction(x, den * m1)
+        # times the conjugate m1 - m2*sqrt(d), over den times the norm
+        c = den * (m1 * m1 - d * m2 * m2)
+        a, b = x * m1 - d * y * m2, y * m1 - x * m2
+        return _make(a, b, c, d) if c > 0 else _make(-a, -b, -c, d)
+
+    def truncated(self):
+        """The exact mass of the returns later than tau_max."""
+        scale = self.den ** len(self.hits)
+        (m1, m2), (x, y) = self.mu, self.mass
+        return self.value(scale * m1 - x, scale * m2 - y, scale)
+
+
+def _over_one_denominator(values):
+    """Integer pairs (x, y) of `values`, Fractions, ints or QuadraticReals,
+    as (x + y*sqrt(d))/L over one common denominator L; returns (pairs, L)."""
+    forms = [(v.A, v.B, v.C) if isinstance(v, QuadraticReal)
+             else (v.numerator, 0, v.denominator) for v in values]
+    den = math.lcm(*(c for _, _, c in forms))
+    return [(a * (den // c), b * (den // c)) for a, b, c in forms], den
+
+
+def _return_law(measure, a_symbols, tau_max: int) -> _ReturnLaw:
+    """Exact return-time law to A = union of the cylinders [a], a in
+    `a_symbols`, of a memory-1 Markov measure, truncated at tau_max.
+
+    P is read once over one common denominator L and pi(A) over another,
+    L_pi.  The unreturned mass at each complement symbol is the integer
+    pair (x, y) of (x + y*sqrt(d))/(L_pi * L**tau), started from the
+    unnormalised pi(a); a product is (x1*x2 + d*y1*y2, x1*y2 + x2*y1), and
+    y stays 0 on a rational chain.  mu(A) divides only at output
+    (`_ReturnLaw.value`).  The law is quadratic when P or pi(A) holds a
+    QuadraticReal and some tau <= tau_max is reachable; else rational."""
     from suspshift.measures import MarkovMeasure
 
     if not isinstance(measure, MarkovMeasure):
         raise ValueError("exact return-time law needs a Markov measure")
+    if tau_max < 1:
+        raise ValueError(f"tau_max must be at least 1, not {tau_max}")
     k = measure.states
-    a_set = set(a_symbols)
-    mu_a = sum_exact([measure.pi[s] for s in a_set])
-    if mu_a == 0:
+    a_list = sorted(set(a_symbols))
+    a_set = set(a_list)
+    rows = [measure.P[i][j] for i in range(k) for j in range(k)]
+    pi_a = [measure.pi[s] for s in a_list]
+    quads = [v for v in rows + pi_a if isinstance(v, QuadraticReal)]
+    d = common_radicand(quads) or (quads[0].d if quads else None)
+    f = d or 0
+    flat, den = _over_one_denominator(rows)
+    start, _ = _over_one_denominator(pi_a)
+    m1, m2 = sum(x for x, _ in start), sum(y for _, y in start)
+    if m1 == m2 == 0:
         raise ValueError("mu(A) must be positive")
-    start = {s: measure.pi[s] / mu_a for s in a_set}
-    # v[c] = prob of sitting at complement symbol c without having returned
-    v = {}
-    for s, w in start.items():
-        for c in range(k):
-            if c not in a_set and measure.P[s][c] != 0:
-                v[c] = v.get(c, Fraction(0)) + w * measure.P[s][c]
-    tau_dist = {
-        1: sum_exact(
-            [w * measure.P[s][t] for s, w in start.items() for t in a_set
-             if measure.P[s][t] != 0] or [Fraction(0)]
-        )
-    }
-    for tau in range(2, tau_max + 1):
-        hit = None
-        for c, wc in v.items():
-            for t in a_set:
-                if measure.P[c][t] != 0:
-                    term = wc * measure.P[c][t]
-                    hit = term if hit is None else hit + term
-        tau_dist[tau] = hit if hit is not None else Fraction(0)
+    # per symbol: its summed step into A (None when it has none) and its
+    # steps to the complement
+    into_a, steps = [], []
+    for i in range(k):
+        row = flat[i * k:(i + 1) * k]
+        to_a = [row[t] for t in a_list if row[t] != (0, 0)]
+        into_a.append((sum(x for x, _ in to_a), sum(y for _, y in to_a)) if to_a else None)
+        steps.append([(j, x, y) for j, (x, y) in enumerate(row)
+                      if j not in a_set and (x, y) != (0, 0)])
+    hits = []
+    mass_x = mass_y = mean_x = mean_y = 0
+    v = dict(zip(a_list, start))
+    for tau in range(1, tau_max + 1):
+        hx = hy = 0
+        hit = False
         nxt = {}
-        for c, wc in v.items():
-            for c2 in range(k):
-                if c2 not in a_set and measure.P[c][c2] != 0:
-                    nxt[c2] = nxt.get(c2, Fraction(0)) + wc * measure.P[c][c2]
+        for c, (x, y) in v.items():
+            step = into_a[c]
+            if step is not None:
+                px, py = step
+                hx += x * px + f * y * py
+                hy += x * py + y * px
+                hit = True
+            for j, px, py in steps[c]:
+                nx, ny = nxt.get(j, (0, 0))
+                nxt[j] = (nx + x * px + f * y * py, ny + x * py + y * px)
+        hits.append((hx, hy) if hit else None)
+        # Horner on L: the sums stay over L**tau
+        mass_x, mass_y = mass_x * den + hx, mass_y * den + hy
+        mean_x, mean_y = mean_x * den + tau * hx, mean_y * den + tau * hy
         v = nxt
-    truncated = 1 - sum_exact(list(tau_dist.values()))
-    return tau_dist, truncated
+    if all(h is None for h in hits):
+        # no return in reach: the law is all zero and mu(A) plays no part
+        d, m1, m2 = None, 1, 0
+    return _ReturnLaw(hits, den, (m1, m2), d, (mass_x, mass_y), (mean_x, mean_y))
+
+
+def return_time_distribution(measure, a_symbols, tau_max: int = 30):
+    """Exact induced return-time law on A = union of single-symbol cylinders
+    of a memory-1 Markov measure, truncated at tau_max >= 1.
+
+    Returns (dict tau -> exact probability, truncated tail mass).  The law
+    runs on integer pairs (`_return_law`); each tau's value is built once,
+    a Fraction, or a QuadraticReal when P or pi(A) holds one, and
+    Fraction(0) at a tau that no allowed transition reaches.
+    """
+    law = _return_law(measure, a_symbols, tau_max)
+    dist = {}
+    scale = 1
+    for tau, hit in enumerate(law.hits, 1):
+        scale *= law.den
+        dist[tau] = _ZERO if hit is None else law.value(*hit, scale)
+    return dist, law.truncated()
 
 
 def kac_expected_return(measure, a_symbols, tau_max: int = 30):
     """Exact truncated mean return time to A; Kac predicts 1/mu(A).
 
-    Returns (partial expectation as an exact value, truncated tail mass).
+    Returns (partial expectation as an exact value, truncated tail mass),
+    both read off the integer sums of `_return_law`: no per-tau value is
+    built.
     """
-    tau_dist, truncated = return_time_distribution(measure, a_symbols, tau_max)
-    partial = sum_exact([Fraction(k) * p for k, p in tau_dist.items()])
-    return partial, truncated
+    law = _return_law(measure, a_symbols, tau_max)
+    return law.value(*law.mean, law.den ** tau_max), law.truncated()
 
 
 def induced_entropy_identity(measure, a_symbols, n: int, tau_max: int = 30):
     """Exact check of mu(A) * h(induced, P v R_A) = h(ambient, P-bar) at
     finite block length n, for A a union of single-symbol cylinders of a
     memory-1 Markov measure whose landings concentrate on one symbol.
+    The return-time law is `return_time_distribution`'s: integer pairs
+    through tau_max >= 1, each tau's exact value built once.
 
     Returns (lhs, rhs, gap, truncated_mass).
     """

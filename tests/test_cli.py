@@ -189,9 +189,23 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
      "a_symbols"),
     ("kac-check", {"system": FULL2, "parameters": {"returns": 0}}, "returns"),
     ("induced-check", {"system": FULL2, "parameters": {"a_symbols": [3]}}, "a_symbols"),
+    ("kac-check", {"system": FULL2, "parameters": {"a_symbols": 3, "returns": 10}},
+     "a_symbols"),
+    ("induced-check", {"system": FULL2, "parameters": {"a_symbols": 3}}, "a_symbols"),
+    ("kac-check", {"system": FULL2, "parameters": {"tau_max": 0, "returns": 10}}, "tau_max"),
+    ("kac-check", {"system": FULL2, "parameters": {"tau_max": -3, "returns": 10}},
+     "tau_max"),
+    ("induced-check", {"system": FULL2, "parameters": {"tau_max": 0}}, "tau_max"),
+    ("ocap", {"system": FULL2, "parameters": {"cylinders": ["2"]}}, "cylinders"),
+    ("ocap", {"system": FULL2, "parameters": {"cylinders": []}}, "cylinders"),
+    ("ocap", {"system": FULL2, "parameters": {"cylinders": ["1"], "samples": 0}}, "samples"),
+    ("ocap", {"system": FULL2, "parameters": {"cylinders": ["1"], "horizon": 0}}, "horizon"),
 ], ids=["ocap-sturmian", "kac-check-sturmian", "entropy-horizon-0", "entropy-horizon-negative",
         "kac-check-symbol-3", "kac-check-no-symbol", "kac-check-no-return",
-        "induced-check-symbol-3"])
+        "induced-check-symbol-3", "kac-check-symbols-not-a-list",
+        "induced-check-symbols-not-a-list", "kac-check-tau-max-0",
+        "kac-check-tau-max-negative", "induced-check-tau-max-0", "ocap-symbol-2",
+        "ocap-no-cylinder", "ocap-samples-0", "ocap-horizon-0"])
 def test_bad_parameter_emits_config_error_naming_its_key(tmp_path, capsys, command, config,
                                                          key):
     # a bad value of one key ends in a ConfigError that names it, before

@@ -1,15 +1,19 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import suspshift.quadratic as quadratic
 import suspshift.suspension as suspension
 from suspshift.quadratic import QuadraticReal, as_qr, qr, sqrt_d
-from suspshift.measures import SturmianMeasure, bernoulli, parry_measure
+from suspshift.measures import (
+    MarkovMeasure, SturmianMeasure, bernoulli, parry_measure, sum_exact,
+)
 from suspshift.recode import ChainPoint
 from suspshift.subshifts import (
     Cylinder, PeriodicPoint, PointOracle, Sturmian, full_shift, golden_mean_sft, word_str,
@@ -667,6 +671,150 @@ class TestInducedIdentity:
         lhs14, rhs14, gap14, _ = induced_entropy_identity(mu, [0], n=14)
         assert gap10 < 0.05
         assert gap14 <= gap10 + 1e-12
+
+
+def reference_return_time_distribution(measure, a_symbols, tau_max):
+    """The return-time law to A as a loop on exact values, one tau at a
+    time: the unreturned mass at each complement symbol, normalised by
+    mu(A) at the start.  Fraction(0) where no allowed transition reaches A."""
+    k = measure.states
+    a_set = set(a_symbols)
+    mu_a = sum_exact([measure.pi[s] for s in a_set])
+    if mu_a == 0:
+        raise ValueError("mu(A) must be positive")
+    start = {s: measure.pi[s] / mu_a for s in a_set}
+    # v[c] = prob of sitting at complement symbol c without having returned
+    v = {}
+    for s, w in start.items():
+        for c in range(k):
+            if c not in a_set and measure.P[s][c] != 0:
+                v[c] = v.get(c, Fraction(0)) + w * measure.P[s][c]
+    tau_dist = {
+        1: sum_exact(
+            [w * measure.P[s][t] for s, w in start.items() for t in a_set
+             if measure.P[s][t] != 0] or [Fraction(0)]
+        )
+    }
+    for tau in range(2, tau_max + 1):
+        hit = None
+        for c, wc in v.items():
+            for t in a_set:
+                if measure.P[c][t] != 0:
+                    term = wc * measure.P[c][t]
+                    hit = term if hit is None else hit + term
+        tau_dist[tau] = hit if hit is not None else Fraction(0)
+        nxt = {}
+        for c, wc in v.items():
+            for c2 in range(k):
+                if c2 not in a_set and measure.P[c][c2] != 0:
+                    nxt[c2] = nxt.get(c2, Fraction(0)) + wc * measure.P[c][c2]
+        v = nxt
+    truncated = 1 - sum_exact(list(tau_dist.values()))
+    return tau_dist, truncated
+
+
+PARRY_GOLDEN = parry_measure(golden_mean_sft())
+
+
+@st.composite
+def law_cases(draw):
+    """(measure, A, tau_max): a rational chain on the full 2- or 3-shift or
+    the golden mean, zero transitions included, or the Parry measure of the
+    golden mean over Q[sqrt5]; A one or more symbols; tau_max in 1..40."""
+    kind = draw(st.sampled_from(["full2", "full3", "golden", "parry"]))
+    if kind == "parry":
+        measure = PARRY_GOLDEN
+    else:
+        k = 3 if kind == "full3" else 2
+        rows = []
+        for i in range(k):
+            weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+            if kind == "golden" and i == 1:
+                weights[1] = 0  # the forbidden word 11
+            assume(sum(weights) > 0)
+            rows.append([Fraction(w, sum(weights)) for w in weights])
+        try:
+            measure = MarkovMeasure(
+                rows, subshift=golden_mean_sft() if kind == "golden" else full_shift(k))
+        except ValueError:  # no unique stationary vector
+            assume(False)
+    symbols = draw(st.lists(st.integers(0, measure.states - 1), min_size=1,
+                            max_size=measure.states, unique=True))
+    return measure, symbols, draw(st.integers(1, 40))
+
+
+def _same(x, y) -> bool:
+    return type(x) is type(y) and x == y
+
+
+def _constructions(fn):
+    """Number of Fractions and QuadraticReals built while fn() runs."""
+    codes = {Fraction.__new__.__code__, QuadraticReal.__init__.__code__,
+             quadratic._make.__code__}
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(outer)
+    return count
+
+
+class TestReturnLaw:
+    @settings(max_examples=200, deadline=None)
+    @given(law_cases())
+    def test_integer_law_equals_the_exact_value_loop(self, case):
+        measure, symbols, tau_max = case
+        try:
+            ref_dist, ref_tail = reference_return_time_distribution(measure, symbols, tau_max)
+        except ValueError:  # mu(A) = 0
+            with pytest.raises(ValueError):
+                return_time_distribution(measure, symbols, tau_max)
+            with pytest.raises(ValueError):
+                kac_expected_return(measure, symbols, tau_max)
+            return
+        ref_mean = sum_exact([Fraction(t) * p for t, p in ref_dist.items()])
+        dist, tail = return_time_distribution(measure, symbols, tau_max)
+        mean, kac_tail = kac_expected_return(measure, symbols, tau_max)
+        assert list(dist) == list(ref_dist)
+        for tau, p in ref_dist.items():
+            assert _same(dist[tau], p), (tau, dist[tau], p)
+        assert _same(tail, ref_tail) and _same(kac_tail, ref_tail)
+        assert _same(mean, ref_mean)
+
+    def test_bernoulli_half_closed_forms(self):
+        # P(tau = t) = 2^-t: the partial mean is 2 - (T + 2)/2^T, the tail 2^-T
+        mu = bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=full_shift(2))
+        partial, truncated = kac_expected_return(mu, [0], tau_max=32)
+        assert _same(partial, 2 - Fraction(34, 2**32))
+        assert _same(truncated, Fraction(1, 2**32))
+        dist, tail = return_time_distribution(mu, [0], tau_max=32)
+        assert dist == {t: Fraction(1, 2**t) for t in range(1, 33)}
+        assert _same(tail, truncated)
+
+    @pytest.mark.parametrize("tau_max", [0, -3])
+    def test_tau_max_below_one_is_refused(self, tau_max):
+        mu = bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=full_shift(2))
+        for law in (return_time_distribution, kac_expected_return):
+            with pytest.raises(ValueError, match="tau_max"):
+                law(mu, [0], tau_max)
+
+    @pytest.mark.parametrize("measure", [
+        bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=full_shift(2)), PARRY_GOLDEN,
+    ], ids=["bernoulli", "parry"])
+    def test_kac_builds_no_exact_value_per_tau(self, measure):
+        # the tau loop runs on integers: the exact values built do not
+        # grow with tau_max
+        short = _constructions(lambda: kac_expected_return(measure, [0], 8))
+        long = _constructions(lambda: kac_expected_return(measure, [0], 32))
+        assert 0 < short == long
 
 
 class TestOrbitCapacity:
