@@ -16,7 +16,7 @@ def main():
         print(f"atom gap={atom.gap} k={atom.k} l={atom.l} "
               f"remainder={float(atom.remainder):.6f}")
     pt = rf.flow.base.point(qr(Fraction(2, 11)))
-    census = rf.return_census(pt, 0, 10000)
+    census = rf.return_census(pt, 10000)
     counts = {}
     for sym, _ in census:
         counts[sym] = counts.get(sym, 0) + 1

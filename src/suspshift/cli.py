@@ -28,7 +28,6 @@ from suspshift.subshifts import (
 )
 from suspshift.measures import (
     DMetricConfig,
-    InsufficientData,
     block_entropy,
     bernoulli,
     measure_from_json,
@@ -68,7 +67,7 @@ ERRORS = (
     PreconditionFailed, CapacityExceeded, InfeasibleSchedule,  # recode
     NoMarkerFound, NoMarkersFound,  # markers, generator
     NotHit, HorizonExceeded, IncommensurableRoof,  # suspension
-    EmptySubshift, InsufficientData,  # subshifts, measures
+    EmptySubshift,  # subshifts
     ConfigError,
     ValueError, KeyError,
 )
@@ -120,11 +119,16 @@ def _sft_system(cfg) -> SFT:
     return system
 
 
-def _positive(p, key, default, what):
-    """The integer parameter `key`, which must be at least 1."""
-    value = int(p.get(key, default))
-    if value < 1:
-        raise ConfigError(f"config key {key!r} must be a positive {what}, not {value}")
+def _integer(p, key, default, least=1) -> int:
+    """The integer parameter `key`, which must be at least `least`."""
+    return _checked_integer(key, p.get(key, default), least)
+
+
+def _checked_integer(key, value, least) -> int:
+    """`value`, read from config key `key`: a JSON integer (a bool, a float
+    or a string is not one) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"config key {key!r} must be an integer >= {least}, not {value!r}")
     return value
 
 
@@ -144,8 +148,8 @@ def _words(p, key, default, parse, size) -> list:
 
 def _a_symbols(cfg, system) -> list:
     """The symbols of the section [a], a nonempty list over the alphabet."""
-    words = _words(cfg["parameters"], "a_symbols", [0], lambda s: (int(s),),
-                   system.alphabet_size)
+    words = _words(cfg["parameters"], "a_symbols", [0],
+                   lambda s: (_checked_integer("a_symbols", s, 0),), system.alphabet_size)
     return [w[0] for w in words]
 
 
@@ -185,7 +189,7 @@ def _class_rows(counts):
 
 def cmd_entropy(cfg, seed, out_dir, chash):
     system = subshift_from_json(cfg["system"])
-    horizon = _positive(cfg["parameters"], "horizon", 20, "length")
+    horizon = _integer(cfg["parameters"], "horizon", 20)
     rows = []
     exact = system.entropy_exact()
     if exact is not None:
@@ -195,7 +199,7 @@ def cmd_entropy(cfg, seed, out_dir, chash):
     files = [_write_csv(out_dir, "entropy.csv", ("method", "nats"), rows, chash)]
     if "measure" in cfg["parameters"]:
         mu = _measure_param(cfg, system)
-        n_max = int(cfg["parameters"].get("blocks", 12))
+        n_max = _integer(cfg["parameters"], "blocks", 12)
         brows = []
         prev_total = 0.0
         for n in range(1, n_max + 1):
@@ -213,8 +217,8 @@ def cmd_marker(cfg, seed, out_dir, chash):
     system = subshift_from_json(cfg["system"])
     p = cfg["parameters"]
     marker = build_marker(
-        system, int(p["n"]), int(p.get("max_word_len", 20)), int(p.get("depth", 100))
-    )
+        system, _integer(p, "n", None), _integer(p, "max_word_len", 20),
+        _integer(p, "depth", 100))
     cert = marker.certificate()
     files = [_write_json(out_dir, "marker.json", cert)]
     rows = list(cert["gap_counts"].items())
@@ -230,16 +234,16 @@ def _two_valued_from_cfg(cfg):
     p = cfg["parameters"]
     return build_two_valued_instance(
         _load_flow(cfg), _qr_param(p["p"]), _qr_param(p["q"]),
-        Fraction(p.get("epsilon", "1/10")), _qr_param(p["delta"]), int(p.get("depth", 420)))
+        Fraction(p.get("epsilon", "1/10")), _qr_param(p["delta"]), _integer(p, "depth", 420))
 
 
 def cmd_recode_two_valued(cfg, seed, out_dir, chash):
     rf = _two_valued_from_cfg(cfg)
     p = cfg["parameters"]
-    returns = int(p.get("returns", 10000))
-    horizon = int(p.get("horizon", 10000))
+    returns = _integer(p, "returns", 10000)
+    horizon = _integer(p, "horizon", 10000)
     pt = rf.sample_point(seed)
-    census = rf.return_census_positions(pt, 0, horizon)[:returns]
+    census = rf.return_census_positions(pt, horizon)[:returns]
     rows = _class_rows(_time_counts((rf.return_class(t), t) for _, _, t in census))
     files = [_write_csv(out_dir, "two_valued_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
@@ -260,16 +264,16 @@ def cmd_recode_two_valued(cfg, seed, out_dir, chash):
 def _marked_binary_from_cfg(cfg):
     p = cfg["parameters"]
     return build_marked_binary_instance(
-        _load_flow(cfg), _qr_param(p["p"]), _qr_param(p["q"]), int(p.get("M", 2)),
-        _qr_param(p["delta"]), int(p.get("depth", 420)))
+        _load_flow(cfg), _qr_param(p["p"]), _qr_param(p["q"]), _integer(p, "M", 2),
+        _qr_param(p["delta"]), _integer(p, "depth", 420))
 
 
 def cmd_recode_marked_binary(cfg, seed, out_dir, chash):
     rf = _marked_binary_from_cfg(cfg)
     p = cfg["parameters"]
-    horizon = int(p.get("horizon", 4000))
+    horizon = _integer(p, "horizon", 4000)
     pt = rf.sample_point(seed)
-    census = rf.return_census_positions(pt, 0, horizon)
+    census = rf.return_census_positions(pt, horizon)
     rows = _class_rows(_time_counts((rf.return_class(t), t) for _, _, t in census))
     files = [_write_csv(out_dir, "marked_binary_census.csv",
                         ("class", "count", "min", "max"), rows, chash)]
@@ -292,11 +296,10 @@ def cmd_recode_marked_binary(cfg, seed, out_dir, chash):
 
 
 def cmd_generator_roundtrip(cfg, seed, out_dir, chash):
-    rf = _marked_binary_from_cfg(cfg)
-    model = GeneratorModel(rf)
     p = cfg["parameters"]
-    n = int(p.get("n", 50))
-    points = int(p.get("points", 100))
+    n = _integer(p, "n", 50)
+    points = _integer(p, "points", 100)
+    model = GeneratorModel(_marked_binary_from_cfg(cfg))
     rows = []
     for i in range(points):
         pt = model.sample_point(seed + i)
@@ -313,9 +316,9 @@ def cmd_ocap(cfg, seed, out_dir, chash):
     p = cfg["parameters"]
     cylinders = [Cylinder(w, 0) for w in _words(p, "cylinders", None, parse_word,
                                                 system.alphabet_size)]
-    horizon = _positive(p, "horizon", 500, "length")
-    samples = _positive(p, "samples", 20, "count")
-    period_max = int(p.get("period_max", 12))
+    horizon = _integer(p, "horizon", 500)
+    samples = _integer(p, "samples", 20)
+    period_max = _integer(p, "period_max", 12)
     rng = random.Random(seed)
     orbits = [
         sample_sft_orbit(system, horizon + 20, rng) for _ in range(samples)
@@ -335,17 +338,15 @@ def cmd_abramov_check(cfg, seed, out_dir, chash):
     flow = _load_flow(cfg)
     mu = _measure_param(cfg, flow.base)
     p = cfg["parameters"]
-    n = int(p.get("n", 14))
+    n = _integer(p, "n", 14, least=3)  # the gain reads level n - 2
     delta = Fraction(p.get("delta", 1))
     labels = {c: f"s{c}" for c in range(flow.base.alphabet_size)}
     h_base = mu.entropy_rate()
     integral = flow.roof.integral(mu)
     formula = abramov_entropy(h_base, integral)
-    tower_n = time_delta_tower_entropy(mu, flow.roof, delta, labels, n)
-    h_tot_n = time_delta_tower_entropy(mu, flow.roof, delta, labels, n,
-                                       return_total=True)
-    h_tot_prev = time_delta_tower_entropy(mu, flow.roof, delta, labels, n - 2,
-                                          return_total=True)
+    h_tot_n = time_delta_tower_entropy(mu, flow.roof, delta, labels, n)
+    h_tot_prev = time_delta_tower_entropy(mu, flow.roof, delta, labels, n - 2)
+    tower_n = h_tot_n / n
     gain = (h_tot_n - h_tot_prev) / 2 / float(delta)
     rows = [
         ("h_base", repr(h_base)),
@@ -362,8 +363,8 @@ def cmd_kac_check(cfg, seed, out_dir, chash):
     a_symbols = _a_symbols(cfg, system)
     mu = _measure_param(cfg, system)
     p = cfg["parameters"]
-    returns = _positive(p, "returns", 100000, "count")
-    tau_max = _positive(p, "tau_max", 32, "return time")
+    returns = _integer(p, "returns", 100000)
+    tau_max = _integer(p, "tau_max", 32)
     partial, truncated = kac_expected_return(mu, a_symbols, tau_max)
     flow = SuspensionFlow(system, Roof.constant(1, system.alphabet_size))
     section = CrossSection([(Cylinder((s,), 0), qr(0)) for s in a_symbols])
@@ -396,11 +397,14 @@ def cmd_induced_check(cfg, seed, out_dir, chash):
     a_symbols = _a_symbols(cfg, system)
     mu = _measure_param(cfg, system)
     p = cfg["parameters"]
-    tau_max = _positive(p, "tau_max", 32, "return time")
+    tau_max = _integer(p, "tau_max", 32)
+    ns = p.get("ns", [10, 12, 14])
+    if not isinstance(ns, list) or not ns:
+        raise ConfigError(f"config key 'ns' must be a nonempty list of integers, not {ns!r}")
+    ns = [_checked_integer("ns", n, 1) for n in ns]
     rows = []
-    for n in p.get("ns", [10, 12, 14]):
-        lhs, rhs, gap, trunc = induced_entropy_identity(mu, a_symbols, int(n),
-                                                        tau_max)
+    for n in ns:
+        lhs, rhs, gap, trunc = induced_entropy_identity(mu, a_symbols, n, tau_max)
         rows.append((n, repr(lhs), repr(rhs), repr(gap), repr(trunc)))
     return [
         _write_csv(out_dir, "induced.csv",
@@ -411,11 +415,11 @@ def cmd_induced_check(cfg, seed, out_dir, chash):
 def cmd_periodic(cfg, seed, out_dir, chash):
     system = subshift_from_json(cfg["system"])
     p = cfg["parameters"]
-    n_max = int(p.get("n_max", 12))
+    n_max = _integer(p, "n_max", 12)
+    dconf = DMetricConfig(system, depth=_integer(p, "metric_depth", 8))
     census = PeriodicCensus(system, n_max)
     growth = global_periodic_growth(census)
     eps_seq = [float(Fraction(e)) for e in p.get("eps", ["1/2", "1/4", "1/8"])]
-    dconf = DMetricConfig(system, depth=int(p.get("metric_depth", 8)))
     rows = []
     for e in census.entries:
         pks = [repr(p_k(census, e, eps, dconf)) for eps in eps_seq]

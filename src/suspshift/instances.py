@@ -37,12 +37,12 @@ MARKED_BINARY_KS = range(2, 7)
 
 def find_two_valued_marker(flow, layout, depth=420):
     return find_marker_with_feasible_gaps(
-        flow, lambda gap, t: layout.pair(t) is not None, TWO_VALUED_MAX_WORD_LEN, depth)
+        flow, lambda t: layout.pair(t) is not None, TWO_VALUED_MAX_WORD_LEN, depth)
 
 
 def find_marked_binary_marker(flow, layout, depth=420):
     return find_marker_with_feasible_gaps(
-        flow, lambda gap, t: layout.feasible(t, MARKED_BINARY_LANG_BOUND, MARKED_BINARY_KS),
+        flow, lambda t: layout.feasible(t, MARKED_BINARY_LANG_BOUND, MARKED_BINARY_KS),
         MARKED_BINARY_MAX_WORD_LEN, depth)
 
 

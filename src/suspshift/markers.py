@@ -52,10 +52,7 @@ def occurrence_starts(text: str, pattern: str):
 
 
 def _scan_texts(subshift: Subshift, depth: int):
-    cache = subshift.__dict__.setdefault("_scan_text_cache", {})
-    if depth not in cache:
-        cache[depth] = [word_str(w) for w in subshift.language(depth)]
-    return cache[depth]
+    return [word_str(w) for w in subshift.language(depth)]
 
 
 def return_spectrum(subshift: Subshift, word: Word, depth: int) -> ReturnSpectrum:

@@ -2,8 +2,10 @@
 
 Markov measures keep transitions and the stationary vector in exact
 arithmetic (rationals, or a quadratic field for Perron data such as the
-Parry measure); logarithms enter only at output time.  All measure kinds
-expose one evaluation interface, mass(word) = mass of the anchored
+Parry measure); logarithms enter only at output time.  The measure of a
+periodic orbit counts each word's occurrences over one period, as an exact
+rational, when the word is first read.  All measure kinds expose one
+evaluation interface, mass(word) = mass of the anchored
 cylinder, so the metric D and the periodic-structure counts can treat them
 uniformly.
 """
@@ -15,14 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, as_qr
-from suspshift.subshifts import PointOracle, SFT, Sturmian, Subshift, Word, full_shift
-
-
-class InsufficientData(Exception):
-    pass
-
-
-_ZERO = Fraction(0)  # the mass of an unseen block; Fractions are immutable
+from suspshift.subshifts import PeriodicPoint, SFT, Sturmian, Subshift, Word, full_shift
 
 
 def _xlogx(p) -> float:
@@ -226,43 +221,24 @@ def _squarefree(n: int):
 
 
 class EmpiricalMeasure(Measure):
-    """Block frequencies of an orbit segment, exact rationals.
+    """The invariant measure of one periodic orbit: a word's mass is the
+    number of its occurrences starting in one period of `point`, over the
+    period, exact.  Each word is counted on its first read and kept."""
 
-    When the segment length equals the period of a periodic point the
-    measure is exactly shift-invariant.
-    """
-
-    def __init__(self, oracle: PointOracle, start: int, length: int,
-                 max_block: int, subshift: Subshift | None = None):
-        if length < 1:
-            raise ValueError("length >= 1")
-        self.oracle = oracle
-        self.start = start
-        self.length = length
-        self.max_block = max_block
-        self.subshift = subshift if subshift is not None else full_shift(
-            max(oracle.block(start, start + length)) + 1
-        )
-        seg = oracle.block(start, start + length + max_block - 1)
-        self._tables = {}
-        for n in range(1, max_block + 1):
-            counts = {}
-            for i in range(length):
-                w = tuple(seg[i : i + n])
-                counts[w] = counts.get(w, 0) + 1
-            self._tables[n] = {w: Fraction(c, length) for w, c in counts.items()}
-
-    @classmethod
-    def of_periodic_point(cls, point, max_block: int, subshift=None):
-        return cls(point, 0, point.period, max_block, subshift)
+    def __init__(self, point: PeriodicPoint, subshift: Subshift):
+        self.point = point
+        self.subshift = subshift
+        self._masses = {}
 
     def mass(self, word: Word):
-        n = len(word)
-        if n == 0:
-            return Fraction(1)
-        if n > self.max_block:
-            raise InsufficientData(f"block length {n} > max_block {self.max_block}")
-        return self._tables[n].get(tuple(word), _ZERO)
+        word = tuple(word)
+        m = self._masses.get(word)
+        if m is None:
+            n, period = len(word), self.point.period
+            text = self.point.block(0, period + n - 1)
+            m = self._masses[word] = Fraction(
+                sum(text[i : i + n] == word for i in range(period)), period)
+        return m
 
 
 class SturmianMeasure(Measure):

@@ -2,8 +2,9 @@
 functions p_k.
 
 All censuses are exact: SFT periodic points come from cycle enumeration in
-the vertex graph, their empirical measures are rational, and the distances
-between periodic measures use the truncated convex metric D.
+the vertex graph, and each orbit's measure counts a word's occurrences over
+one period, so its masses are rational whatever the word's length.  The
+distances between periodic measures use the truncated convex metric D.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class CensusEntry:
 class PeriodicCensus:
     """All periodic orbits of minimal period <= n_max, one entry per orbit."""
 
-    def __init__(self, subshift: Subshift, n_max: int, max_block: int = 8):
+    def __init__(self, subshift: Subshift, n_max: int):
         self.subshift = subshift
         self.n_max = n_max
         self.entries = []
@@ -50,9 +51,7 @@ class PeriodicCensus:
                         orbit_id=len(self.entries),
                         period=period,
                         point=rep_pt,
-                        measure=EmpiricalMeasure.of_periodic_point(
-                            rep_pt, max_block=max_block, subshift=subshift
-                        ),
+                        measure=EmpiricalMeasure(rep_pt, subshift),
                     )
                 )
 
@@ -74,9 +73,7 @@ def _minimal_period(word):
 @dataclass(frozen=True)
 class GrowthReport:
     value: float            # rate estimate at the horizon (a lower bound)
-    horizon: int
     per_n: dict             # n -> (1/n) log #Fix(sigma^n)
-    horizon_limited: bool = True
 
 
 def global_periodic_growth(census: PeriodicCensus) -> GrowthReport:
@@ -92,7 +89,7 @@ def global_periodic_growth(census: PeriodicCensus) -> GrowthReport:
     n_last = census.n_max
     count = census.fixed_counts.get(n_last, 0)
     value = math.log(count) / n_last if count > 0 else 0.0
-    return GrowthReport(value=value, horizon=n_last, per_n=per_n)
+    return GrowthReport(value=value, per_n=per_n)
 
 
 def _census_distance(census: PeriodicCensus, config: DMetricConfig, i: int, j: int):

@@ -547,22 +547,22 @@ class RecodedFlow:
         piece = max(idx for idx, t in enumerate(offsets) if t <= height)
         return FlowPoint(chain, piece, height - offsets[piece])
 
-    def return_census(self, oracle: PointOracle, start: int, count: int):
+    def return_census(self, oracle: PointOracle, count: int):
         """Exact (class, time) pairs of `count` consecutive section returns along
-        the orbit over `oracle`, from its first marker hit at or after `start`."""
-        before = self.last_hit(oracle, start - 1)
+        the orbit over `oracle`, from its first marker hit at or after 0."""
+        before = self.last_hit(oracle, -1)
         chain = OrbitChain(self, oracle, before + self.atom_at(oracle, before).gap)
         return list(zip(chain.block(0, count), chain.roofs))
 
     def sample_point(self, seed: int) -> ChainPoint:
         return ChainPoint(self.automaton, random.Random(seed))
 
-    def return_census_positions(self, chain_point: ChainPoint, lo: int, hi: int):
+    def return_census_positions(self, chain_point: ChainPoint, horizon: int):
         """(Z-coordinate, symbol, exact return time) for each section piece
-        of a sampled recoded point with coordinate in [lo, hi)."""
-        chain_point.cover(lo - max(len(a.emission) for a in self.atoms), hi)
+        of a sampled recoded point with coordinate in [0, horizon)."""
+        chain_point.cover(-max(len(a.emission) for a in self.atoms), horizon)
         off, syms, roofs = chain_point.offset, chain_point.symbols, chain_point.roofs
-        return [(pos, syms[pos - off], roofs[pos - off]) for pos in range(lo, hi)]
+        return [(pos, syms[pos - off], roofs[pos - off]) for pos in range(horizon)]
 
     # -- encode / decode ---------------------------------------------------
 
@@ -669,12 +669,11 @@ class RecodedFlow:
 # the recoding core
 
 
-def _recode(flow: SuspensionFlow, marker: MarkerSet, layout, n: int | None) -> RecodedFlow:
+def _recode(flow: SuspensionFlow, marker: MarkerSet, layout) -> RecodedFlow:
     """Build the recoded flow of `layout` over the marker atoms at coding
-    window n (default: just past the largest marker gap)."""
+    window n, just past the largest marker gap."""
     layout.check_flow(flow)
-    if n is None:
-        n = marker.max_gap + len(marker.word)
+    n = marker.max_gap + len(marker.word)
     atoms = build_atoms(flow, marker, n)
     n_words = sorted(flow.base.language(n))  # the code index space
     layout.plan(atoms, len(n_words))
@@ -929,35 +928,35 @@ class MarkedBinaryLayout(_CodedLayout):
 # the two constructions
 
 
-def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet, layout: TwoValuedLayout,
-               n: int | None = None) -> RecodedFlow:
+def recode_two_valued(flow: SuspensionFlow, marker: MarkerSet,
+                      layout: TwoValuedLayout) -> RecodedFlow:
     """Return times exactly p, exactly q, or in (0, delta), by `layout`,
     whose pairs the marker search may already have found."""
-    return _recode(flow, marker, layout, n)
+    return _recode(flow, marker, layout)
 
 
-def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet, layout: MarkedBinaryLayout,
-               n: int | None = None) -> RecodedFlow:
+def recode_marked_binary(flow: SuspensionFlow, marker: MarkerSet,
+                         layout: MarkedBinaryLayout) -> RecodedFlow:
     """Return times exactly p or in (q, q + delta), at the first of the
     layout's ks that schedules every atom; the layout keeps the candidate
     pairs the marker search found."""
-    return _recode(flow, marker, layout, n)
+    return _recode(flow, marker, layout)
 
 
 # ---------------------------------------------------------------------------
-# marker search driven by gap feasibility
+# marker search driven by return-time feasibility
 
 
-def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: int,
+def find_marker_with_feasible_gaps(flow: SuspensionFlow, time_ok, max_word_len: int,
                                    depth: int) -> MarkerSet:
     """Search marker words (increasing length, lexicographic) whose every
-    marker atom satisfies gap_ok(gap, exact_return_time).  Needs a window-0
+    marker atom satisfies time_ok(exact_return_time).  Needs a window-0
     roof: an atom's return time is then the roof sum of its return word, so a
-    candidate's exact return words give every atom's (gap, time), asked
-    shortest first until one fails.  gap_ok is asked once per distinct
-    (gap, time) in a call, memoised on the gap and the roof sum's integer
-    numerators (x, y) of (x + y*sqrt(d))/L over the roof's one denominator
-    L, unique per exact time; its QuadraticReal is built only on a miss."""
+    candidate's exact return words give every atom's time, asked shortest
+    first until one fails.  time_ok is asked once per distinct time in a
+    call, memoised on the roof sum's integer numerators (x, y) of
+    (x + y*sqrt(d))/L over the roof's one denominator L, unique per exact
+    time; its QuadraticReal is built only on a miss."""
     if flow.roof.m != 0:
         raise PreconditionFailed("gap-driven marker search needs a window-0 roof")
     values = flow.roof.table.values()
@@ -971,10 +970,9 @@ def find_marker_with_feasible_gaps(flow: SuspensionFlow, gap_ok, max_word_len: i
         for c, (vx, vy) in table.items():
             n = r.count(c)
             x, y = x + vx * n, y + vy * n
-        key = (len(r), x, y)
-        if key not in verdicts:
-            verdicts[key] = gap_ok(len(r), _make(x, y, L, d))
-        return verdicts[key]
+        if (x, y) not in verdicts:
+            verdicts[x, y] = time_ok(_make(x, y, L, d))
+        return verdicts[x, y]
 
     marker = find_marker(flow.base, lambda returns: all(map(feasible, returns)),
                          max_word_len, depth)

@@ -486,10 +486,12 @@ class Sturmian(Subshift):
         state = self.walk(word, (anchor, None))
         return None if state is None else state[1] or (0, 0, self.alpha.C, 0)
 
-    def cylinder_measure(self, word: Word, anchor: int = 0) -> QuadraticReal:
+    def cylinder_measure(self, word: Word) -> QuadraticReal:
         """Mass of the cylinder under the unique invariant measure = total
-        arc length (Lebesgue on the circle), exact."""
-        arc = self._cylinder(word, anchor)
+        arc length (Lebesgue on the circle), exact; the rotation keeps
+        Lebesgue measure, so the arc read from coordinate 0 serves any
+        anchor."""
+        arc = self._cylinder(word, 0)
         if arc is None:
             return as_qr(0, self.alpha.d)
         la, lb, ha, hb = arc

@@ -20,7 +20,7 @@ from suspshift.quadratic import (
     pair_over,
     sign_surd,
 )
-from suspshift.measures import _ZERO, Measure, _xlogx, integrate_locally_constant, sum_exact
+from suspshift.measures import Measure, _xlogx, integrate_locally_constant, sum_exact
 from suspshift.subshifts import Cylinder, PointOracle, Subshift, Word
 
 
@@ -282,10 +282,10 @@ def abramov_entropy(h_base: float, roof_integral) -> float:
 # time-delta tower entropy (exact, discrete tower model)
 
 
-def time_delta_tower_entropy(measure: Measure, roof: Roof, delta, labels, n: int,
-                             return_total: bool = False):
-    """(1/n) H of the length-n itinerary distribution of the time-delta map
-    for the tower partition {rest} + {[label]x[0,delta)}.
+def time_delta_tower_entropy(measure: Measure, roof: Roof, delta, labels, n: int):
+    """H of the length-n itinerary distribution of the time-delta map for
+    the tower partition {rest} + {[label]x[0,delta)}, in nats (divide by n
+    for the rate).
 
     Exact for roofs with window radius 0 and all values in delta*N; `labels`
     maps each base symbol to its partition atom (the level-0 label).
@@ -321,8 +321,7 @@ def time_delta_tower_entropy(measure: Measure, roof: Roof, delta, labels, n: int
             itin = tuple(itin)
             dist[itin] = dist[itin] + mass if itin in dist else mass
     total_mass = sum_exact(list(dist.values()))
-    h_total = -sum(_xlogx(p / total_mass) for p in dist.values())
-    return h_total if return_total else h_total / n
+    return -sum(_xlogx(p / total_mass) for p in dist.values())
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +454,7 @@ def return_time_distribution(measure, a_symbols, tau_max: int = 30):
     scale = 1
     for tau, hit in enumerate(law.hits, 1):
         scale *= law.den
-        dist[tau] = _ZERO if hit is None else law.value(*hit, scale)
+        dist[tau] = Fraction(0) if hit is None else law.value(*hit, scale)
     return dist, law.truncated()
 
 
@@ -541,16 +540,15 @@ def orbit_capacity_discrete(subshift, cylinders, horizon: int, orbits,
 
 
 class FiniteWordOracle(PointOracle):
-    """Oracle backed by a finite sampled word over [start, start+len)."""
+    """Oracle backed by a finite sampled word over [0, len)."""
 
-    def __init__(self, word: Word, start: int = 0):
+    def __init__(self, word: Word):
         self.word = tuple(word)
-        self.start = start
 
     def block(self, i, j):
-        if i < self.start or j > self.start + len(self.word):
+        if i < 0 or j > len(self.word):
             raise HorizonExceeded("query outside the sampled window")
-        return self.word[i - self.start : j - self.start]
+        return self.word[i:j]
 
 
 class SFTWalk(PointOracle):
@@ -574,12 +572,12 @@ class SFTWalk(PointOracle):
         return tuple(word[i:j])
 
 
-def sample_sft_orbit(sft, length: int, rng, start: int = 0) -> FiniteWordOracle:
+def sample_sft_orbit(sft, length: int, rng) -> FiniteWordOracle:
     """Seeded random walk on the essential vertex graph, as a finite oracle
-    over [start, start+length): the first `length` symbols of an `SFTWalk`
-    drawn `sft.memory` symbols further."""
+    over [0, length): the first `length` symbols of an `SFTWalk` drawn
+    `sft.memory` symbols further."""
     walk = SFTWalk(sft, rng)
-    return FiniteWordOracle(walk.block(0, length + sft.memory)[:length], start)
+    return FiniteWordOracle(walk.block(0, length + sft.memory)[:length])
 
 
 def flow_from_json(obj: dict) -> SuspensionFlow:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import suspshift.cli as cli
 from suspshift.cli import COMMANDS, main
 from test_golden import ROOT, RUNS
 
@@ -156,15 +157,24 @@ def _shipped_config(command, edit):
     # a roof value of 3/2 is no multiple of the tower step 1
     ("abramov-check", lambda c: c["system"]["roof"]["table"].update({"1": {"a": "3/2", "b": "0"}}),
      "IncommensurableRoof"),
-    # the census measures keep blocks only up to length 8
-    ("periodic", lambda c: c["parameters"].update(metric_depth=400, n_max=4), "InsufficientData"),
-], ids=["entropy", "abramov-check", "periodic"])
+], ids=["entropy", "abramov-check"])
 def test_domain_errors_emit_error_json(tmp_path, capsys, command, edit, error):
     code, _ = run_cli(tmp_path, command, _shipped_config(command, edit))
     out = capsys.readouterr()
     assert code == 2
     assert json.loads(out.out.strip().split("\n")[-1])["error"] == error
     assert "Traceback" not in out.out + out.err
+
+
+def test_periodic_reads_cylinders_of_any_length(tmp_path):
+    # each orbit's measure counts a word over its period, so metric depth
+    # 400 (cylinders up to length 11) needs no longer blocks kept
+    config = _shipped_config("periodic",
+                             lambda c: c["parameters"].update(metric_depth=400, n_max=4))
+    code, out = run_cli(tmp_path, "periodic", config)
+    assert code == 0
+    assert sorted(f.name for f in out.iterdir()) == ["periodic_census.csv",
+                                                     "periodic_growth.csv"]
 
 
 def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
@@ -200,12 +210,20 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
     ("ocap", {"system": FULL2, "parameters": {"cylinders": []}}, "cylinders"),
     ("ocap", {"system": FULL2, "parameters": {"cylinders": ["1"], "samples": 0}}, "samples"),
     ("ocap", {"system": FULL2, "parameters": {"cylinders": ["1"], "horizon": 0}}, "horizon"),
+    ("kac-check", {"system": FULL2, "parameters": {"tau_max": "x", "returns": 10}}, "tau_max"),
+    ("periodic", {"system": GOLDEN, "parameters": {"metric_depth": "eight"}}, "metric_depth"),
+    ("induced-check", {"system": FULL2, "parameters": {"ns": [0]}}, "ns"),
+    ("generator-roundtrip", {"system": ROOT2_FLOW, "parameters": {"points": 2.5}}, "points"),
+    ("entropy", {"system": GOLDEN, "parameters": {"horizon": True}}, "horizon"),
 ], ids=["ocap-sturmian", "kac-check-sturmian", "entropy-horizon-0", "entropy-horizon-negative",
         "kac-check-symbol-3", "kac-check-no-symbol", "kac-check-no-return",
         "induced-check-symbol-3", "kac-check-symbols-not-a-list",
         "induced-check-symbols-not-a-list", "kac-check-tau-max-0",
         "kac-check-tau-max-negative", "induced-check-tau-max-0", "ocap-symbol-2",
-        "ocap-no-cylinder", "ocap-samples-0", "ocap-horizon-0"])
+        "ocap-no-cylinder", "ocap-samples-0", "ocap-horizon-0",
+        "kac-check-tau-max-not-a-number", "periodic-metric-depth-a-word",
+        "induced-check-ns-0", "generator-roundtrip-points-a-float",
+        "entropy-horizon-a-bool"])
 def test_bad_parameter_emits_config_error_naming_its_key(tmp_path, capsys, command, config,
                                                          key):
     # a bad value of one key ends in a ConfigError that names it, before
@@ -333,6 +351,20 @@ def test_abramov_check(tmp_path):
     values = dict(l.split(",") for l in read_csv(out / "abramov.csv")[2:])
     assert abs(float(values["abramov_formula"]) - math.log(2) / 2) < 1e-12
     assert abs(float(values["tower_gain_n12"]) - math.log(2) / 2) < 1e-9
+
+
+def test_abramov_check_reads_the_tower_at_n_and_n_minus_2_only(tmp_path, monkeypatch):
+    # the average at n and the two-step gain share the level-n tower
+    levels, tower = [], cli.time_delta_tower_entropy
+
+    def counting_tower(measure, roof, delta, labels, n):
+        levels.append(n)
+        return tower(measure, roof, delta, labels, n)
+
+    monkeypatch.setattr(cli, "time_delta_tower_entropy", counting_tower)
+    code, _ = run_cli(tmp_path, "abramov-check", _shipped_config("abramov-check", lambda c: None))
+    assert code == 0
+    assert levels == [12, 10]
 
 
 def test_ocap_golden_ones(tmp_path):

@@ -8,7 +8,6 @@ from suspshift.quadratic import QuadraticReal, qr, sqrt_d
 from suspshift.measures import (
     DMetricConfig,
     EmpiricalMeasure,
-    InsufficientData,
     MarkovMeasure,
     Measure,
     SturmianMeasure,
@@ -83,33 +82,53 @@ class TestMarkov:
             assert block_entropy(fair, n) == pytest.approx(math.log(2), abs=1e-12)
 
 
-def empirical_block_entropy(mu: EmpiricalMeasure, n: int) -> float:
-    """(1/n) H of the length-n block frequencies of an orbit segment.  A
-    full period of a periodic point carries the exact block law; any other
-    segment must be at least 10n symbols long."""
-    full_period = mu.start == 0 and mu.length == getattr(mu.oracle, "period", None)
-    if not full_period and mu.length < 10 * n:
-        raise InsufficientData(f"orbit segment {mu.length} < 10*{n}")
-    return -sum(_xlogx(p) for p in mu._tables[n].values()) / n
+def periodic_occurrences(period, word) -> int:
+    """#{i < P : x[i:i + len(word)] = word} for x the periodic extension of
+    the period word, P its length."""
+    x = tuple(period) * (len(word) // len(period) + 2)
+    return sum(x[i : i + len(word)] == tuple(word) for i in range(len(period)))
+
+
+def periodic_block_entropy(period, n: int) -> float:
+    """(1/n) H of the length-n block frequencies over one period."""
+    x = tuple(period) * (n // len(period) + 2)
+    blocks = {x[i : i + n] for i in range(len(period))}
+    return -sum(_xlogx(Fraction(periodic_occurrences(period, w), len(period)))
+                for w in sorted(blocks)) / n
 
 
 class TestEmpirical:
     def test_period_two_point(self):
-        mu = EmpiricalMeasure.of_periodic_point(
-            PeriodicPoint((0, 1)), max_block=4, subshift=full_shift(2)
-        )
+        mu = EmpiricalMeasure(PeriodicPoint((0, 1)), full_shift(2))
         assert mu.mass((0, 1)) == Fraction(1, 2)
         assert mu.mass((1, 0)) == Fraction(1, 2)
         assert mu.mass((0, 0)) == 0
         # two equally frequent 3-blocks
-        assert empirical_block_entropy(mu, 3) == pytest.approx(math.log(2) / 3, abs=1e-12)
-        assert block_entropy(mu, 3) == empirical_block_entropy(mu, 3)
+        assert periodic_block_entropy((0, 1), 3) == pytest.approx(math.log(2) / 3, abs=1e-12)
+        assert block_entropy(mu, 3) == periodic_block_entropy((0, 1), 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mass_counts_occurrences_over_one_period(self, data):
+        k = data.draw(st.integers(2, 3))
+        period = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12))
+        size = len(period)
+        x = tuple(period) * 3
+        # a word of up to 2P symbols: any word, or one read off the orbit
+        word = data.draw(st.one_of(
+            st.lists(st.integers(0, k - 1), max_size=2 * size).map(tuple),
+            st.tuples(st.integers(0, size - 1), st.integers(0, 2 * size)).map(
+                lambda s: x[s[0] : s[0] + s[1]])))
+        mu = EmpiricalMeasure(PeriodicPoint(period), full_shift(k))
+        expected = Fraction(periodic_occurrences(period, word), size)
+        assert mu.mass(word) == expected
+        assert mu.mass(list(word)) == expected  # the kept count, read again
 
     def test_exact_shift_invariance(self):
         pt = PeriodicPoint((0, 0, 1, 0, 1))
-        mu = EmpiricalMeasure.of_periodic_point(pt, max_block=4)
+        mu = EmpiricalMeasure(pt, full_shift(2))
         for n in range(1, 5):
-            dist = mu._tables[n]
+            dist = mu.block_distribution(n)
             assert sum(dist.values()) == 1
             # invariance: sum over left-extensions equals the word mass
             if n < 4:
@@ -118,11 +137,6 @@ class TestEmpirical:
                         (mu.mass((c,) + w) for c in range(2)), Fraction(0)
                     )
                     assert ext == m
-
-    def test_insufficient_data(self):
-        mu = EmpiricalMeasure(PeriodicPoint((0, 1)), 0, 12, max_block=4)
-        with pytest.raises(InsufficientData):
-            empirical_block_entropy(mu, 3)
 
 
 class TestIntegration:
@@ -158,12 +172,8 @@ class TestDistance:
         assert d_distance(fair, fair, cfg).value == 0.0
 
     def test_fixed_points_positive_and_symmetric(self):
-        zero = EmpiricalMeasure.of_periodic_point(
-            PeriodicPoint((0,)), max_block=8, subshift=full_shift(2)
-        )
-        one = EmpiricalMeasure.of_periodic_point(
-            PeriodicPoint((1,)), max_block=8, subshift=full_shift(2)
-        )
+        zero = EmpiricalMeasure(PeriodicPoint((0,)), full_shift(2))
+        one = EmpiricalMeasure(PeriodicPoint((1,)), full_shift(2))
         cfg = DMetricConfig(full_shift(2), depth=8)
         d01 = d_distance(zero, one, cfg)
         assert d01.value > 0
@@ -171,9 +181,7 @@ class TestDistance:
         assert d01.bound == 2.0 ** (-7)
 
     def test_truncation_bound(self, fair):
-        one = EmpiricalMeasure.of_periodic_point(
-            PeriodicPoint((1,)), max_block=20, subshift=full_shift(2)
-        )
+        one = EmpiricalMeasure(PeriodicPoint((1,)), full_shift(2))
         d8 = d_distance(fair, one, DMetricConfig(full_shift(2), depth=8)).value
         d16 = d_distance(fair, one, DMetricConfig(full_shift(2), depth=16)).value
         assert abs(d16 - d8) <= 2.0 ** (-7) + 1e-15
@@ -185,12 +193,8 @@ class TestDistance:
         cfg = DMetricConfig(fs, depth=8)
         mu = bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=fs)
         mu2 = bernoulli([Fraction(1, 4), Fraction(3, 4)], subshift=fs)
-        nu = EmpiricalMeasure.of_periodic_point(
-            PeriodicPoint((0,)), max_block=8, subshift=fs
-        )
-        nu2 = EmpiricalMeasure.of_periodic_point(
-            PeriodicPoint((0, 1)), max_block=8, subshift=fs
-        )
+        nu = EmpiricalMeasure(PeriodicPoint((0,)), fs)
+        nu2 = EmpiricalMeasure(PeriodicPoint((0, 1)), fs)
         lhs = d_distance(
             ConvexCombination(t, mu, nu), ConvexCombination(t, mu2, nu2), cfg
         ).value
@@ -204,9 +208,7 @@ class TestDistance:
         cfg = DMetricConfig(fs, depth=10)
         a = bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=fs)
         b = bernoulli([Fraction(1, 3), Fraction(2, 3)], subshift=fs)
-        c = EmpiricalMeasure.of_periodic_point(
-            PeriodicPoint((0, 1, 1)), max_block=10, subshift=fs
-        )
+        c = EmpiricalMeasure(PeriodicPoint((0, 1, 1)), fs)
         dab = d_distance(a, b, cfg).value
         dbc = d_distance(b, c, cfg).value
         dac = d_distance(a, c, cfg).value

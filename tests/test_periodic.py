@@ -19,12 +19,12 @@ def lucas(n):
 
 @pytest.fixture(scope="module")
 def golden_census():
-    return PeriodicCensus(golden_mean_sft(), n_max=12, max_block=6)
+    return PeriodicCensus(golden_mean_sft(), n_max=12)
 
 
 @pytest.fixture(scope="module")
 def full_census():
-    return PeriodicCensus(full_shift(2), n_max=8, max_block=6)
+    return PeriodicCensus(full_shift(2), n_max=8)
 
 
 class TestCensus:
@@ -63,7 +63,6 @@ class TestGrowth:
     def test_golden_growth_near_log_phi(self, golden_census):
         rep = global_periodic_growth(golden_census)
         assert abs(rep.value - math.log(PHI)) < 0.05
-        assert rep.horizon_limited
 
     def test_sturmian_growth_zero(self):
         census = PeriodicCensus(Sturmian(sqrt_d(2) - 1), n_max=6)
@@ -110,7 +109,7 @@ class TestPk:
         # with one 1-block measure and one period count once
         close = [o for o in full_census.orbits_up_to(entry.period)
                  if d_distance(o.measure, entry.measure, cfg).value < 10.0]
-        measures = {tuple(sorted(o.measure._tables[1].items())) + (o.period,) for o in close}
+        measures = {tuple(sorted(o.measure.block_distribution(1).items())) + (o.period,) for o in close}
         measure_count = math.log(max(len(measures), 1)) / entry.period
         assert orbit_count >= measure_count
 

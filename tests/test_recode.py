@@ -461,7 +461,7 @@ class TestRecodeDex:
     def test_return_classes_exact(self, two_valued_model):
         p, q, delta = (two_valued_model.constants[c] for c in ("p", "q", "delta"))
         pt = two_valued_model.flow.base.point(qr(Fraction(3, 10)))
-        census = two_valued_model.return_census(pt, 0, 3000)
+        census = two_valued_model.return_census(pt, 3000)
         for sym, t in census:
             if sym == 1:
                 assert t == p
@@ -620,7 +620,7 @@ class TestRecodeDep:
     def test_return_classes(self, marked_model):
         p, q, delta = (marked_model.constants[c] for c in ("p", "q", "delta"))
         pt = marked_model.flow.base.point(qr(Fraction(5, 13)))
-        census = marked_model.return_census(pt, 0, 2000)
+        census = marked_model.return_census(pt, 2000)
         for sym, t in census:
             if sym == 1:
                 assert t == p
@@ -664,7 +664,7 @@ class TestRecodeDep:
         pat = word_str(pattern)
         pt = marked_model.sample_point(9)
         window = word_str(pt.block(0, 600))
-        census = marked_model.return_census_positions(pt, 0, 600)
+        census = marked_model.return_census_positions(pt, 600)
         rem_positions = {pos for pos, sym, t in census
                          if sym == 0 and t > marked_model.constants["q"]}
         pattern_pos = set()
@@ -702,7 +702,7 @@ class TestFeasibleGapMarker:
         base = SFT(3, adjacency=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         flow = SuspensionFlow(base, Roof.by_symbol([1, 2, 3]))
         with pytest.raises(NoMarkerFound, match="feasible gap spectrum"):
-            find_marker_with_feasible_gaps(flow, lambda g, t: t <= 4, 3, 12)
+            find_marker_with_feasible_gaps(flow, lambda t: t <= 4, 3, 12)
 
 
 def exact_key(t):
@@ -788,8 +788,8 @@ class TestSetupWork:
                 assert set(vars(code)) == {"length", "ones", "first_last_one", "max_run"}
 
     def test_verdict_times_are_return_word_sums(self, monkeypatch):
-        # every time the search hands to gap_ok is the exact roof sum of one
-        # of the candidate's return words, whose length is the gap
+        # every time the search hands to time_ok is the exact roof sum of
+        # one of the candidate's return words, each asked once
         flow = SuspensionFlow(Sturmian(sqrt_d(3) - 1), Roof.by_symbol([sqrt_d(3), 1 + sqrt_d(3) / 2]))
         seen, candidates = [], []
         real_return_words = markers.return_words
@@ -798,17 +798,17 @@ class TestSetupWork:
             candidates.append(real_return_words(*args))
             return candidates[-1]
 
-        def gap_ok(gap, t):
-            seen.append((gap, t))
-            return gap <= 3
+        def time_ok(t):
+            seen.append(t)
+            return t < 6  # the return words of at most 3 symbols
 
         monkeypatch.setattr(markers, "return_words", recording_return_words)
-        find_marker_with_feasible_gaps(flow, gap_ok, 4, 60)
+        find_marker_with_feasible_gaps(flow, time_ok, 4, 60)
         assert seen
-        sums = {(len(r), sum((flow.roof.table[(c,)] for c in r), qr(0)))
+        sums = {sum((flow.roof.table[(c,)] for c in r), qr(0))
                 for returns in candidates if returns is not None for r in returns}
-        for gap, t in seen:
-            assert (gap, t) in sums
+        for t in seen:
+            assert t in sums
         assert len(seen) == len(set(seen))
 
     def test_setup_needs_no_depth_scan(self, monkeypatch):

@@ -8,9 +8,16 @@ method counts as referenced when some attribute access `.name` reads its
 name.  Places searched are `src/suspshift` (the re-exports of `__init__`
 excluded), `scripts/` and `bench/`; names in strings do not count.
 Reference code that only tests use belongs in the tests.
+
+Likewise every defaulted parameter of a module-level function, a public
+method or an `__init__` is passed by some call in those places, by keyword
+or by position; a default nobody else sets is a constant, not a knob.
+Calls are matched by name, as methods are above: an `__init__` by its
+class's name, and a `*args` or `**kwargs` in a call passes everything.
 """
 
 import ast
+import math
 import symtable
 from pathlib import Path
 
@@ -24,6 +31,17 @@ ALLOWED = {
     "suspension.flow": "the flow map itself; acceptance criteria call it",
     "recode.BalancedCode.rank": "the inverse of unrank; acceptance criteria check the "
                                 "codes are bijections through it",
+}
+
+# defaulted parameters kept with no caller outside the tests passing them,
+# each with its reason
+ALLOWED_DEFAULTS = {
+    "suspension.make_flow_point.index": "tests start a point off coordinate 0",
+    "suspension.flow.max_shifts": "tests cut a flow short to reach HorizonExceeded",
+    "quadratic.qr.b": "qr(a, b, d) writes the number a + b*sqrt(d); tests write "
+                      "irrational literals with it",
+    "quadratic.qr.d": "the radicand of such a literal",
+    "cli.main.argv": "the console script reads sys.argv; tests pass the argument list",
 }
 
 
@@ -101,6 +119,63 @@ def _unreferenced():
     return missing
 
 
+def _defaulted(module, tree):
+    """(qualified name, called name, own line span, name, position) of each
+    defaulted parameter of one module's functions, public methods and
+    `__init__`s; the position leaves out `self` and is None for a
+    keyword-only parameter."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            defs = [(f"{module}.{node.name}", node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(f"{module}.{node.name}.{item.name}",
+                     node.name if item.name == "__init__" else item.name, item, 1)
+                    for item in node.body if isinstance(item, kinds)
+                    and (item.name == "__init__" or not item.name.startswith("_"))]
+        else:
+            continue
+        for qualname, called, fn, skip in defs:
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            span = (fn.lineno, fn.end_lineno)
+            for i, arg in enumerate(args[first:], first):
+                yield f"{qualname}.{arg.arg}", called, span, arg.arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{qualname}.{arg.arg}", called, span, arg.arg, None
+
+
+def _calls(tree):
+    """(called name, positional count, keywords, line) of each call of a
+    name or an attribute; a `*args` counts as every position, and a
+    `**kwargs` as the keyword None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield (name, math.inf if starred else len(node.args),
+                   {kw.arg for kw in node.keywords}, node.lineno)
+
+
+def _unset_defaults():
+    trees = {path: ast.parse(path.read_text(), str(path)) for _, path in _sources()}
+    calls = [(path, *call) for path, tree in trees.items() for call in _calls(tree)]
+    unset = []
+    for module, path in _sources():
+        if module is None:
+            continue
+        for qualname, called, (first, last), name, position in _defaulted(module, trees[path]):
+            passed = any(
+                got == called and not (where == path and first <= line <= last)
+                and (name in keywords or None in keywords
+                     or (position is not None and count > position))
+                for where, got, count, keywords, line in calls)
+            if not passed:
+                unset.append(qualname)
+    return unset
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
     missing = _unreferenced()
     unexpected = sorted(set(missing) - set(ALLOWED))
@@ -108,6 +183,14 @@ def test_every_definition_has_a_caller_outside_the_tests():
     # an entry whose definition found a caller, or went, leaves the list
     stale = sorted(set(ALLOWED) - set(missing))
     assert not stale, "allowed but used or gone: " + ", ".join(stale)
+
+
+def test_every_default_is_passed_by_a_caller_outside_the_tests():
+    unset = _unset_defaults()
+    unexpected = sorted(set(unset) - set(ALLOWED_DEFAULTS))
+    assert not unexpected, "only tests set: " + ", ".join(unexpected)
+    stale = sorted(set(ALLOWED_DEFAULTS) - set(unset))
+    assert not stale, "allowed but set or gone: " + ", ".join(stale)
 
 
 def test_all_names_resolve():

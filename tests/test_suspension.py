@@ -610,20 +610,20 @@ class TestTowerEntropy:
     def test_single_level_tower_is_base_entropy(self):
         mu = bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=full_shift(2))
         roof = Roof.constant(1)
-        v = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 8)
+        v = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 8) / 8
         assert v == pytest.approx(math.log(2), abs=1e-12)
 
     def test_sandwich_bernoulli_r2(self):
         mu = bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=full_shift(2))
         roof = Roof.constant(2)
         n = 12
-        v = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, n)
+        v = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, n) / n
         lower = math.log(2) / 2
         upper = (math.log(2) + math.log(3)) / 2
         assert lower - 1e-9 <= v <= upper + 1e-9
         # the two-step entropy gain recovers the Abramov value exactly
-        h14 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 14, return_total=True)
-        h12 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 12, return_total=True)
+        h14 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 14)
+        h12 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 12)
         assert (h14 - h12) / 2 == pytest.approx(math.log(2) / 2, abs=1e-9)
 
     def test_sturmian_tower_is_low_entropy(self):
@@ -631,12 +631,12 @@ class TestTowerEntropy:
         st_shift = Sturmian(sqrt_d(2) - 1)
         mu = SturmianMeasure(st_shift)
         roof = Roof.by_symbol([qr(1), qr(2)])
-        v12 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 12)
-        v8 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 8)
+        v12 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 12) / 12
+        v8 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 8) / 8
         assert v12 <= 0.25  # ~ log(n+1)/n block overhead at n=12
         assert v12 <= v8 + 1e-12
         # coarse one-atom partition + constant roof: phase-only overhead
-        c12 = time_delta_tower_entropy(mu, Roof.constant(2), 1, {0: "a", 1: "a"}, 12)
+        c12 = time_delta_tower_entropy(mu, Roof.constant(2), 1, {0: "a", 1: "a"}, 12) / 12
         assert c12 <= 0.15
 
     def test_incommensurable_roof_rejected(self):
