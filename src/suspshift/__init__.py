@@ -5,7 +5,6 @@ from suspshift.subshifts import (
     Cylinder,
     SFT,
     Sturmian,
-    ProductSubshift,
     full_shift,
     golden_mean_sft,
     topological_entropy,
@@ -13,11 +12,9 @@ from suspshift.subshifts import (
 from suspshift.measures import (
     MarkovMeasure,
     EmpiricalMeasure,
-    SturmianMeasure,
     DMetricConfig,
     bernoulli,
     parry_measure,
-    block_entropy,
     d_distance,
     integrate_locally_constant,
 )
@@ -43,10 +40,10 @@ from suspshift.periodic import PeriodicCensus, global_periodic_growth
 
 __all__ = [
     "QuadraticReal", "qr", "sqrt_d", "rationally_independent",
-    "Cylinder", "SFT", "Sturmian", "ProductSubshift",
+    "Cylinder", "SFT", "Sturmian",
     "full_shift", "golden_mean_sft", "topological_entropy",
-    "MarkovMeasure", "EmpiricalMeasure", "SturmianMeasure", "DMetricConfig",
-    "bernoulli", "parry_measure", "block_entropy", "d_distance",
+    "MarkovMeasure", "EmpiricalMeasure", "DMetricConfig",
+    "bernoulli", "parry_measure", "d_distance",
     "integrate_locally_constant",
     "Roof", "SuspensionFlow", "FlowPoint", "CrossSection", "flow",
     "make_flow_point", "return_to_section", "abramov_entropy",

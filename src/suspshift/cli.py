@@ -26,14 +26,7 @@ from suspshift.subshifts import (
     subshift_from_json,
     word_str,
 )
-from suspshift.measures import (
-    DMetricConfig,
-    block_entropy,
-    bernoulli,
-    measure_from_json,
-    parry_measure,
-    sum_exact,
-)
+from suspshift.measures import DMetricConfig, bernoulli, parry_measure, sum_exact
 from suspshift.suspension import (
     Roof,
     SuspensionFlow,
@@ -97,17 +90,23 @@ def _write_json(out_dir: str, name: str, obj):
     return path
 
 
-def _qr_param(obj) -> QuadraticReal:
-    return QuadraticReal.from_json(obj)
-
-
 def _measure_param(cfg, subshift):
-    spec = cfg["parameters"].get("measure")
-    if spec is None:
-        return bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=subshift)
-    if spec == "parry":
+    """The measure of config key `measure`, on an SFT system: Bernoulli(1/2,
+    1/2) on the full 2-shift when the key is absent, the Parry measure when
+    it is "parry"."""
+    p = cfg["parameters"]
+    if "measure" in p and p["measure"] != "parry":
+        raise ConfigError(
+            f"config key 'measure' must be absent or \"parry\", not {p['measure']!r}")
+    if not isinstance(subshift, SFT):
+        raise ConfigError(
+            f"config key 'measure' needs an SFT system, not a {type(subshift).__name__}")
+    if "measure" in p:
         return parry_measure(subshift)
-    return measure_from_json(spec, subshift=subshift)
+    if subshift.alphabet_size != 2 or subshift.forbidden:
+        raise ConfigError("config key 'measure' must be given: its default, Bernoulli(1/2, "
+                          "1/2), is a measure of the full 2-shift only")
+    return bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=subshift)
 
 
 def _sft_system(cfg) -> SFT:
@@ -130,6 +129,26 @@ def _checked_integer(key, value, least) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"config key {key!r} must be an integer >= {least}, not {value!r}")
     return value
+
+
+def _number(p, key, default, *, rational):
+    """The parameter `key`, a number > 0 of Q (`rational`) or of Q[sqrt(d)]."""
+    return _checked_number(key, p.get(key, default), rational=rational)
+
+
+def _checked_number(key, value, *, rational):
+    """`value`, read from config key `key`: a number > 0, written as a JSON
+    integer or a string such as "1/10" (a bool or a float is not one) or,
+    unless `rational`, as {"a": a, "b": b, "d": d} for a + b*sqrt(d).  A
+    Fraction when `rational`, else a QuadraticReal."""
+    try:
+        x = None if isinstance(value, bool) else QuadraticReal.from_json(value)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        x = None
+    if x is None or (rational and not x.is_rational) or x.sign() <= 0:
+        field = "Q" if rational else "Q[sqrt(d)]"
+        raise ConfigError(f"config key {key!r} must be a number > 0 of {field}, not {value!r}")
+    return x.a if rational else x
 
 
 def _words(p, key, default, parse, size) -> list:
@@ -192,18 +211,18 @@ def cmd_entropy(cfg, seed, out_dir, chash):
     horizon = _integer(cfg["parameters"], "horizon", 20)
     rows = []
     exact = system.entropy_exact()
+    mu = _measure_param(cfg, system) if "measure" in cfg["parameters"] else None
     if exact is not None:
         rows.append(("perron", repr(exact)))
     count_rate = math.log(system.count(horizon)) / horizon
     rows.append((f"count_n{horizon}", repr(count_rate)))
     files = [_write_csv(out_dir, "entropy.csv", ("method", "nats"), rows, chash)]
-    if "measure" in cfg["parameters"]:
-        mu = _measure_param(cfg, system)
+    if mu is not None:
         n_max = _integer(cfg["parameters"], "blocks", 12)
         brows = []
         prev_total = 0.0
         for n in range(1, n_max + 1):
-            hn = block_entropy(mu, n) * n
+            hn = mu.block_entropy(n) * n
             brows.append((n, repr(hn), repr(hn / n), repr(hn - prev_total)))
             prev_total = hn
         files.append(
@@ -233,8 +252,9 @@ def _load_flow(cfg) -> SuspensionFlow:
 def _two_valued_from_cfg(cfg):
     p = cfg["parameters"]
     return build_two_valued_instance(
-        _load_flow(cfg), _qr_param(p["p"]), _qr_param(p["q"]),
-        Fraction(p.get("epsilon", "1/10")), _qr_param(p["delta"]), _integer(p, "depth", 420))
+        _load_flow(cfg), _number(p, "p", None, rational=False),
+        _number(p, "q", None, rational=False), _number(p, "epsilon", "1/10", rational=True),
+        _number(p, "delta", None, rational=False), _integer(p, "depth", 420))
 
 
 def cmd_recode_two_valued(cfg, seed, out_dir, chash):
@@ -264,8 +284,9 @@ def cmd_recode_two_valued(cfg, seed, out_dir, chash):
 def _marked_binary_from_cfg(cfg):
     p = cfg["parameters"]
     return build_marked_binary_instance(
-        _load_flow(cfg), _qr_param(p["p"]), _qr_param(p["q"]), _integer(p, "M", 2),
-        _qr_param(p["delta"]), _integer(p, "depth", 420))
+        _load_flow(cfg), _number(p, "p", None, rational=False),
+        _number(p, "q", None, rational=False), _integer(p, "M", 2),
+        _number(p, "delta", None, rational=False), _integer(p, "depth", 420))
 
 
 def cmd_recode_marked_binary(cfg, seed, out_dir, chash):
@@ -339,7 +360,7 @@ def cmd_abramov_check(cfg, seed, out_dir, chash):
     mu = _measure_param(cfg, flow.base)
     p = cfg["parameters"]
     n = _integer(p, "n", 14, least=3)  # the gain reads level n - 2
-    delta = Fraction(p.get("delta", 1))
+    delta = _number(p, "delta", 1, rational=True)
     labels = {c: f"s{c}" for c in range(flow.base.alphabet_size)}
     h_base = mu.entropy_rate()
     integral = flow.roof.integral(mu)
@@ -419,7 +440,10 @@ def cmd_periodic(cfg, seed, out_dir, chash):
     dconf = DMetricConfig(system, depth=_integer(p, "metric_depth", 8))
     census = PeriodicCensus(system, n_max)
     growth = global_periodic_growth(census)
-    eps_seq = [float(Fraction(e)) for e in p.get("eps", ["1/2", "1/4", "1/8"])]
+    eps = p.get("eps", ["1/2", "1/4", "1/8"])
+    if not isinstance(eps, list) or not eps:
+        raise ConfigError(f"config key 'eps' must be a nonempty list of rationals, not {eps!r}")
+    eps_seq = [float(_checked_number("eps", e, rational=True)) for e in eps]
     rows = []
     for e in census.entries:
         pks = [repr(p_k(census, e, eps, dconf)) for eps in eps_seq]

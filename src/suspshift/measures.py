@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from suspshift.quadratic import QuadraticReal, as_qr
-from suspshift.subshifts import PeriodicPoint, SFT, Sturmian, Subshift, Word, full_shift
+from suspshift.subshifts import PeriodicPoint, SFT, Subshift, Word
 
 
 def _xlogx(p) -> float:
@@ -25,36 +25,6 @@ def _xlogx(p) -> float:
     if fp <= 0.0:
         return 0.0
     return fp * math.log(fp)
-
-
-def solve_left_stationary(p_rows):
-    """Exact left fixed vector: pi P = pi, sum(pi) = 1.
-
-    Entries may be Fractions or QuadraticReals; plain Gaussian elimination
-    over the common field.
-    """
-    k = len(p_rows)
-    # unknowns pi_0 .. pi_{k-1}; equations: sum_i pi_i (P[i][j] - delta_ij) = 0
-    # for j < k-1, plus normalization sum_i pi_i = 1
-    rows = []
-    for j in range(k - 1):
-        row = [p_rows[i][j] - (1 if i == j else 0) for i in range(k)]
-        rows.append(row + [Fraction(0)])
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    # elimination
-    n = k
-    for col in range(n):
-        piv = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular stationary system")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivval = rows[col][col]
-        rows[col] = [x / pivval for x in rows[col]]
-        for r in range(len(rows)):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
 
 
 class Measure:
@@ -65,20 +35,12 @@ class Measure:
     def mass(self, word: Word):
         raise NotImplementedError
 
-    def block_distribution(self, n: int):
-        """Dict word -> exact mass over the length-n words of the subshift."""
-        return {
-            w: m
-            for w in sorted(self.subshift.language(n))
-            if (m := self.mass(w)) != 0
-        }
-
 
 class MarkovMeasure(Measure):
     """Memory-1 Markov measure: row-stochastic P supported on the allowed
-    transitions, with its exact stationary row vector."""
+    transitions, with its exact stationary row vector `pi`."""
 
-    def __init__(self, p_rows, pi=None, subshift: Subshift | None = None):
+    def __init__(self, p_rows, pi, subshift: Subshift):
         self.P = [list(row) for row in p_rows]
         k = len(self.P)
         for row in self.P:
@@ -92,13 +54,13 @@ class MarkovMeasure(Measure):
             for x in row:
                 if _sign(x) < 0:
                     raise ValueError("negative transition probability")
-        self.pi = list(pi) if pi is not None else solve_left_stationary(self.P)
+        self.pi = list(pi)
         check = [sum_exact(self.pi[i] * self.P[i][j] for i in range(k)) for j in range(k)]
         if any(check[j] != self.pi[j] for j in range(k)):
             raise ValueError("pi is not stationary for P")
         if sum_exact(self.pi) != 1:
             raise ValueError("pi must sum to 1")
-        self.subshift = subshift if subshift is not None else full_shift(k)
+        self.subshift = subshift
         if isinstance(self.subshift, SFT) and self.subshift.memory == 1:
             for i in range(k):
                 if self.pi[i] == 0:
@@ -152,7 +114,7 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def bernoulli(probs, subshift=None) -> MarkovMeasure:
+def bernoulli(probs, subshift: Subshift) -> MarkovMeasure:
     probs = [Fraction(p) if not isinstance(p, (Fraction, QuadraticReal)) else p for p in probs]
     rows = [list(probs) for _ in probs]
     return MarkovMeasure(rows, pi=list(probs), subshift=subshift)
@@ -166,35 +128,38 @@ def parry_measure(sft: SFT) -> MarkovMeasure:
         raise ValueError("parry_measure needs a memory-1 vertex shift")
     a = sft._adjacency_matrix()
     k = len(a)
-    if k == 1:
-        return MarkovMeasure([[Fraction(1)]], subshift=sft)
-    if k != 2:
+    if k not in (1, 2):
         raise ValueError("exact Parry construction implemented for <= 2 vertices")
-    tr = a[0][0] + a[1][1]
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    disc = tr * tr - 4 * det
-    root = math.isqrt(disc)
-    if root * root == disc:
-        lam = as_qr(Fraction(tr + root, 2))
+    if k == 2 and not (a[0][1] and a[1][0]):
+        raise ValueError("exact Parry construction needs an irreducible vertex graph")
+    if k == 1:
+        p_rows, pi, zero = [[Fraction(1)]], [Fraction(1)], Fraction(0)
     else:
-        d, sq = _squarefree(disc)
-        lam = QuadraticReal(Fraction(tr, 2), Fraction(sq, 2), d)
-    # right vector r with A r = lam r; left vector l with l A = lam l
-    r = [as_qr(a[0][1], lam.d if not lam.is_rational else 2), lam - a[0][0]]
-    l = [as_qr(a[1][0], r[0].d), lam - a[0][0]]
-    p_rows = [
-        [
-            (a[i][j] * r[j] / (lam * r[i])) if a[i][j] else as_qr(0, r[0].d)
-            for j in range(2)
+        tr = a[0][0] + a[1][1]
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        disc = tr * tr - 4 * det
+        root = math.isqrt(disc)
+        if root * root == disc:
+            lam = as_qr(Fraction(tr + root, 2))
+        else:
+            d, sq = _squarefree(disc)
+            lam = QuadraticReal(Fraction(tr, 2), Fraction(sq, 2), d)
+        # right vector r with A r = lam r; left vector l with l A = lam l
+        r = [as_qr(a[0][1], lam.d if not lam.is_rational else 2), lam - a[0][0]]
+        l = [as_qr(a[1][0], r[0].d), lam - a[0][0]]
+        p_rows = [
+            [
+                (a[i][j] * r[j] / (lam * r[i])) if a[i][j] else as_qr(0, r[0].d)
+                for j in range(2)
+            ]
+            for i in range(2)
         ]
-        for i in range(2)
-    ]
-    norm = l[0] * r[0] + l[1] * r[1]
-    pi = [l[i] * r[i] / norm for i in range(2)]
+        norm = l[0] * r[0] + l[1] * r[1]
+        pi = [l[i] * r[i] / norm for i in range(2)]
+        zero = as_qr(0, r[0].d)
     # map vertex indices to alphabet symbols (memory-1: vertex = (symbol,))
     order = [v[0] for v in sft.vertices]
     size = sft.alphabet_size
-    zero = as_qr(0, r[0].d)
     full_p = [[zero for _ in range(size)] for _ in range(size)]
     full_pi = [zero for _ in range(size)]
     for i, si in enumerate(order):
@@ -203,7 +168,7 @@ def parry_measure(sft: SFT) -> MarkovMeasure:
             full_p[si][sj] = p_rows[i][j]
     for s in range(size):
         if s not in order:
-            full_p[s][order[0]] = as_qr(1, r[0].d)  # dead symbols: arbitrary row
+            full_p[s][order[0]] = zero + 1  # dead symbols: arbitrary row
     return MarkovMeasure(full_p, pi=full_pi, subshift=sft)
 
 
@@ -239,29 +204,6 @@ class EmpiricalMeasure(Measure):
             m = self._masses[word] = Fraction(
                 sum(text[i : i + n] == word for i in range(period)), period)
         return m
-
-
-class SturmianMeasure(Measure):
-    """The unique invariant measure of a Sturmian coding; cylinder masses
-    are exact arc lengths."""
-
-    def __init__(self, sturmian: Sturmian):
-        self.subshift = sturmian
-        self._cache = {}
-
-    def mass(self, word: Word):
-        word = tuple(word)
-        if word not in self._cache:
-            self._cache[word] = self.subshift.cylinder_measure(word)
-        return self._cache[word]
-
-
-def block_entropy(measure: Measure, n: int) -> float:
-    """(1/n) H of the length-n block distribution."""
-    if hasattr(measure, "block_entropy"):
-        return measure.block_entropy(n)
-    dist = measure.block_distribution(n)
-    return -sum(_xlogx(p) for p in dist.values()) / n
 
 
 def integrate_locally_constant(table: dict, measure: Measure):
@@ -317,15 +259,3 @@ def d_distance(mu: Measure, nu: Measure, config: DMetricConfig) -> DistanceResul
         diff = mu.mass(w) - nu.mass(w)
         total += abs(float(diff)) / 2.0**i
     return DistanceResult(total, 2.0 ** (1 - config.depth))
-
-
-def measure_from_json(obj: dict, subshift: Subshift | None = None) -> Measure:
-    if obj["kind"] == "markov":
-        p_rows = [[Fraction(x) for x in row] for row in obj["P"]]
-        pi = [Fraction(x) for x in obj["pi"]] if "pi" in obj else None
-        return MarkovMeasure(p_rows, pi=pi, subshift=subshift)
-    if obj["kind"] == "sturmian":
-        if not isinstance(subshift, Sturmian):
-            raise ValueError("sturmian measure needs a Sturmian subshift")
-        return SturmianMeasure(subshift)
-    raise ValueError(f"unknown measure kind {obj['kind']!r}")

@@ -1,11 +1,10 @@
 """Subshifts with exact word-admissibility oracles.
 
-Words are tuples of small nonnegative ints.  Three kinds of subshift are
+Words are tuples of small nonnegative ints.  Two kinds of subshift are
 provided: SFTs (memory-1 adjacency matrix, or a forbidden-word list compiled
-to a higher-block vertex shift), Sturmian rotation codings with exact
-quadratic-irrational arithmetic, and products.  Each gives one exact
-extension step, `walk_step`; admissibility, the language and its count are
-walks over it.
+to a higher-block vertex shift) and Sturmian rotation codings with exact
+quadratic-irrational arithmetic.  Each gives one exact extension step,
+`walk_step`; admissibility, the language and its count are walks over it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from suspshift.quadratic import QuadraticReal, _make, as_qr, floor_surd, sign_surd
+from suspshift.quadratic import QuadraticReal, as_qr, floor_surd, sign_surd
 
 Word = tuple  # tuple of ints
 
@@ -479,56 +478,9 @@ class Sturmian(Subshift):
         # lo is coded 1 iff (lo - p) mod 1 = lo - lift + 1 < alpha
         return [(int(sign_surd(pa - C + A - la, pb + B - lb, d) > 0), (j + 1, arc))]
 
-    def _cylinder(self, word: Word, anchor: int):
-        """The arc (la, lb, ha, hb) of `word` read from coordinate `anchor`,
-        as in `walk_step` ([0, 1) for the empty word), or None."""
-        self._check_symbols(word)
-        state = self.walk(word, (anchor, None))
-        return None if state is None else state[1] or (0, 0, self.alpha.C, 0)
-
-    def cylinder_measure(self, word: Word) -> QuadraticReal:
-        """Mass of the cylinder under the unique invariant measure = total
-        arc length (Lebesgue on the circle), exact; the rotation keeps
-        Lebesgue measure, so the arc read from coordinate 0 serves any
-        anchor."""
-        arc = self._cylinder(word, 0)
-        if arc is None:
-            return as_qr(0, self.alpha.d)
-        la, lb, ha, hb = arc
-        return _make(ha - la, hb - lb, self.alpha.C, self.alpha.d)
-
     def periodic_points(self, n: int) -> list:
         return []  # irrational rotation codings are aperiodic
 
-# ---------------------------------------------------------------------------
-# products
-
-
-class ProductSubshift(Subshift):
-    """Product of two subshifts; symbol s = s1 * n2 + s2."""
-
-    def __init__(self, first: Subshift, second: Subshift):
-        self.first = first
-        self.second = second
-        self.alphabet_size = first.alphabet_size * second.alphabet_size
-        self.walk_root = (first.walk_root, second.walk_root)
-
-    def join(self, w1: Word, w2: Word) -> Word:
-        n2 = self.second.alphabet_size
-        return tuple(a * n2 + b for a, b in zip(w1, w2))
-
-    def walk_step(self, state):
-        """The state is the pair of component states."""
-        n2 = self.second.alphabet_size
-        return [(a * n2 + b, (s1, s2)) for a, s1 in self.first.walk_step(state[0])
-                for b, s2 in self.second.walk_step(state[1])]
-
-    def periodic_points(self, n: int) -> list:
-        pts = []
-        for p1 in self.first.periodic_points(n):
-            for p2 in self.second.periodic_points(n):
-                pts.append(PeriodicPoint(self.join(p1.block(0, n), p2.block(0, n))))
-        return pts
 
 def subshift_from_json(obj: dict) -> Subshift:
     kind = obj["kind"]
@@ -540,9 +492,5 @@ def subshift_from_json(obj: dict) -> Subshift:
     if kind == "sturmian":
         return Sturmian(
             QuadraticReal.from_json(obj["alpha"]), obj.get("convention", "low")
-        )
-    if kind == "product":
-        return ProductSubshift(
-            subshift_from_json(obj["first"]), subshift_from_json(obj["second"])
         )
     raise ValueError(f"unknown subshift kind {kind!r}")

@@ -115,7 +115,8 @@ def test_criterion_03_ab_sandwich():
             (bernoulli([Fraction(1, 3), Fraction(2, 3)], subshift=fs),
              Roof.by_symbol([qr(1), qr(2)]), Fraction(1)),
             (MarkovMeasure([[Fraction(1, 2), Fraction(1, 2)],
-                            [Fraction(1, 4), Fraction(3, 4)]], subshift=fs),
+                            [Fraction(1, 4), Fraction(3, 4)]],
+                           pi=[Fraction(1, 3), Fraction(2, 3)], subshift=fs),
              Roof.by_symbol([qr(2), qr(1)]), Fraction(1)),
         ]
         n = 10

@@ -19,6 +19,11 @@ ROOT2_FLOW = {
              "table": {"0": {"a": "0", "b": "1", "d": 2},
                        "1": {"a": "0", "b": "1", "d": 2}}},
 }
+GOLDEN_FLOW = {"base": GOLDEN,
+               "roof": {"window": 0, "table": {"0": {"a": "1"}, "1": {"a": "2"}}}}
+FULL3 = {"kind": "sft", "alphabet_size": 3, "adjacency": [[1, 1, 1]] * 3}
+# p = 1, q = sqrt2, delta = 1/10: the two-valued parameters of the shipped configs
+RECODE = {"p": {"a": "1"}, "q": {"a": "0", "b": "1"}, "delta": {"a": "1/10"}}
 
 
 def run_cli(tmp_path, command, config, seed=0, name="cfg.json"):
@@ -157,7 +162,10 @@ def _shipped_config(command, edit):
     # a roof value of 3/2 is no multiple of the tower step 1
     ("abramov-check", lambda c: c["system"]["roof"]["table"].update({"1": {"a": "3/2", "b": "0"}}),
      "IncommensurableRoof"),
-], ids=["entropy", "abramov-check"])
+    # the Parry measure of a reducible graph: no exact Perron data
+    ("kac-check", lambda c: (c.update(system={**FULL2, "adjacency": [[1, 1], [0, 1]]}),
+                             c["parameters"].update(measure="parry")), "ValueError"),
+], ids=["entropy", "abramov-check", "kac-check-parry-reducible"])
 def test_domain_errors_emit_error_json(tmp_path, capsys, command, edit, error):
     code, _ = run_cli(tmp_path, command, _shipped_config(command, edit))
     out = capsys.readouterr()
@@ -215,6 +223,24 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
     ("induced-check", {"system": FULL2, "parameters": {"ns": [0]}}, "ns"),
     ("generator-roundtrip", {"system": ROOT2_FLOW, "parameters": {"points": 2.5}}, "points"),
     ("entropy", {"system": GOLDEN, "parameters": {"horizon": True}}, "horizon"),
+    ("entropy", {"system": GOLDEN, "parameters": {"measure": 5}}, "measure"),
+    ("entropy", {"system": GOLDEN, "parameters": {"measure": "bogus"}}, "measure"),
+    ("entropy", {"system": GOLDEN, "parameters": {"measure": {"kind": "sturmian"}}},
+     "measure"),
+    ("entropy", {"system": STURMIAN, "parameters": {"measure": "parry"}}, "measure"),
+    ("induced-check", {"system": FULL3, "parameters": {}}, "measure"),
+    ("kac-check", {"system": GOLDEN, "parameters": {"returns": 10}}, "measure"),
+    ("abramov-check", {"system": ROOT2_FLOW, "parameters": {}}, "measure"),
+    ("periodic", {"system": GOLDEN, "parameters": {"eps": "12"}}, "eps"),
+    ("periodic", {"system": GOLDEN, "parameters": {"eps": ["x"]}}, "eps"),
+    ("recode-dex", {"system": ROOT2_FLOW, "parameters": {**RECODE, "epsilon": [1]}}, "epsilon"),
+    ("recode-dep", {"system": ROOT2_FLOW, "parameters": {**RECODE, "q": None}}, "q"),
+    ("generator-roundtrip", {"system": ROOT2_FLOW, "parameters": {**RECODE, "p": {"b": "1"}}},
+     "p"),
+    ("abramov-check", {"system": GOLDEN_FLOW, "parameters": {"measure": "parry", "delta": "0"}},
+     "delta"),
+    ("abramov-check", {"system": GOLDEN_FLOW, "parameters": {"measure": "parry", "delta": "-1"}},
+     "delta"),
 ], ids=["ocap-sturmian", "kac-check-sturmian", "entropy-horizon-0", "entropy-horizon-negative",
         "kac-check-symbol-3", "kac-check-no-symbol", "kac-check-no-return",
         "induced-check-symbol-3", "kac-check-symbols-not-a-list",
@@ -223,7 +249,13 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
         "ocap-no-cylinder", "ocap-samples-0", "ocap-horizon-0",
         "kac-check-tau-max-not-a-number", "periodic-metric-depth-a-word",
         "induced-check-ns-0", "generator-roundtrip-points-a-float",
-        "entropy-horizon-a-bool"])
+        "entropy-horizon-a-bool", "entropy-measure-5", "entropy-measure-bogus",
+        "entropy-measure-sturmian", "entropy-parry-on-sturmian",
+        "induced-check-default-measure-on-3-symbols", "kac-check-default-measure-on-golden",
+        "abramov-check-default-measure-on-sturmian",
+        "periodic-eps-a-string", "periodic-eps-not-a-number", "recode-dex-epsilon-a-list",
+        "recode-dep-q-null", "generator-roundtrip-p-without-a", "abramov-check-delta-0",
+        "abramov-check-delta-negative"])
 def test_bad_parameter_emits_config_error_naming_its_key(tmp_path, capsys, command, config,
                                                          key):
     # a bad value of one key ends in a ConfigError that names it, before
@@ -305,9 +337,9 @@ def test_kac_check(tmp_path):
     assert (out / "return_spectra.csv").exists()
 
 
-def test_kac_check_unreachable_section_emits_error_json(tmp_path, capsys):
-    # two disjoint loops: a walk started on the 1-loop never meets [0], which
-    # must end in an error JSON, not a silent redraw or a traceback
+def test_kac_check_refuses_a_markov_measure(tmp_path, capsys):
+    # a measure is absent or "parry": a Markov chain given by its matrix is
+    # refused before any return is drawn
     cfg = {"system": {"kind": "sft", "alphabet_size": 2, "adjacency": [[1, 0], [0, 1]]},
            "parameters": {"a_symbols": [0], "returns": 100, "tau_max": 8,
                           "measure": {"kind": "markov", "P": [["1", "0"], ["0", "1"]],
@@ -315,7 +347,9 @@ def test_kac_check_unreachable_section_emits_error_json(tmp_path, capsys):
     code, out = run_cli(tmp_path, "kac-check", cfg, seed=0)
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-    assert err["error"] == "NotHit"
+    assert err["error"] == "ConfigError"
+    assert "'measure'" in err["precondition"]
+    assert list(out.iterdir()) == []
 
 
 def test_ocap_cylinder_past_the_sampled_orbit_emits_error_json(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from suspshift import markers
 from suspshift.instances import build_marked_binary_instance, build_two_valued_instance
 from suspshift.quadratic import sqrt_d
-from suspshift.measures import SturmianMeasure
 from suspshift.markers import (
     MarkerSet,
     NoMarkerFound,
@@ -19,6 +18,7 @@ from suspshift.markers import (
     verify_coverage,
 )
 from suspshift.subshifts import SFT, Sturmian, full_shift, golden_mean_sft, parse_word, word_str
+from test_measures import SturmianArcMeasure
 
 ANGLES = [sqrt_d(2) - 1, sqrt_d(3) - 1, (sqrt_d(5) - 1) / 2, sqrt_d(7) - 2]
 
@@ -92,7 +92,7 @@ class TestBuildMarker:
     def test_kac_height_bound(self, sturmian):
         # invariant mass of the marker cylinder is at most 1/min_return
         marker = build_marker(sturmian, n=5, max_word_len=20, depth=100)
-        mu = SturmianMeasure(sturmian)
+        mu = SturmianArcMeasure(sturmian)
         mass = mu.mass(marker.word)
         assert mass * marker.min_return <= 1
 

@@ -10,19 +10,65 @@ from suspshift.measures import (
     EmpiricalMeasure,
     MarkovMeasure,
     Measure,
-    SturmianMeasure,
     bernoulli,
-    block_entropy,
     d_distance,
     integrate_locally_constant,
-    measure_from_json,
     parry_measure,
     _xlogx,
 )
-from suspshift.subshifts import PeriodicPoint, Sturmian, full_shift, golden_mean_sft
+from suspshift.subshifts import SFT, PeriodicPoint, Sturmian, full_shift, golden_mean_sft
+from test_subshifts import arc_length
 
 PHI = (1 + math.sqrt(5)) / 2
 LOG_PHI = math.log(PHI)
+
+
+def stationary_vector(p_rows):
+    """Exact left fixed vector: pi P = pi, sum(pi) = 1, by Gaussian
+    elimination over the entries' field (Fractions or QuadraticReals)."""
+    k = len(p_rows)
+    # unknowns pi_0 .. pi_{k-1}; equations: sum_i pi_i (P[i][j] - delta_ij) = 0
+    # for j < k-1, plus normalization sum_i pi_i = 1
+    rows = []
+    for j in range(k - 1):
+        row = [p_rows[i][j] - (1 if i == j else 0) for i in range(k)]
+        rows.append(row + [Fraction(0)])
+    rows.append([Fraction(1)] * k + [Fraction(1)])
+    for col in range(k):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular stationary system")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivval = rows[col][col]
+        rows[col] = [x / pivval for x in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][k] for i in range(k)]
+
+
+def block_distribution(measure: Measure, n: int) -> dict:
+    """Word -> exact mass over the length-n words of the measure's subshift
+    that carry mass."""
+    return {w: m for w in sorted(measure.subshift.language(n))
+            if (m := measure.mass(w)) != 0}
+
+
+def block_entropy(measure: Measure, n: int) -> float:
+    """(1/n) H of the length-n block distribution."""
+    return -sum(_xlogx(p) for p in block_distribution(measure, n).values()) / n
+
+
+class SturmianArcMeasure(Measure):
+    """The unique invariant measure of a Sturmian shift: a cylinder's mass
+    is the length of its arc of phases, exact."""
+
+    def __init__(self, sturmian: Sturmian):
+        self.subshift = sturmian
+
+    def mass(self, word):
+        return arc_length(self.subshift, tuple(word))
 
 
 @pytest.fixture(scope="module")
@@ -38,21 +84,24 @@ def parry():
 class TestMarkov:
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):
-            MarkovMeasure([[Fraction(1, 2), Fraction(1, 3)]] * 2)
+            MarkovMeasure([[Fraction(1, 2), Fraction(1, 3)]] * 2, [Fraction(1, 2)] * 2,
+                          full_shift(2))
 
     def test_stationarity_is_exact(self):
         p = [
             [Fraction(1, 3), Fraction(2, 3)],
             [Fraction(3, 4), Fraction(1, 4)],
         ]
-        mu = MarkovMeasure(p)
+        mu = MarkovMeasure(p, stationary_vector(p), full_shift(2))
         for j in range(2):
             assert sum(mu.pi[i] * p[i][j] for i in range(2)) == mu.pi[j]
         assert sum(mu.pi) == 1
+        with pytest.raises(ValueError, match="not stationary"):
+            MarkovMeasure(p, [Fraction(1, 2)] * 2, full_shift(2))
 
     def test_entropy_rates(self, fair):
         assert fair.entropy_rate() == pytest.approx(math.log(2), abs=1e-12)
-        skew = bernoulli([Fraction(1, 4), Fraction(3, 4)])
+        skew = bernoulli([Fraction(1, 4), Fraction(3, 4)], full_shift(2))
         expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
         assert skew.entropy_rate() == pytest.approx(expected, abs=1e-12)
         assert skew.entropy_rate() == pytest.approx(0.562335, abs=1e-6)
@@ -68,18 +117,30 @@ class TestMarkov:
         assert parry.entropy_rate() == pytest.approx(LOG_PHI, abs=1e-12)
         assert parry.mass((1, 1)) == 0
 
+    @pytest.mark.parametrize("adjacency", [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])
+    def test_parry_refuses_a_reducible_graph(self, adjacency):
+        with pytest.raises(ValueError, match="irreducible"):
+            parry_measure(SFT(2, adjacency=adjacency))
+
+    def test_parry_of_one_vertex_sits_on_its_symbol(self):
+        mu = parry_measure(SFT(2, adjacency=[[0, 0], [0, 1]]))
+        assert (mu.mass((0,)), mu.mass((1,)), mu.mass((1, 1))) == (0, 1, 1)
+
     def test_block_entropy_decreases_to_rate(self, parry):
-        vals = [block_entropy(parry, n) for n in range(1, 16)]
+        vals = [parry.block_entropy(n) for n in range(1, 16)]
         gains = [
             (n + 1) * vals[n] - n * vals[n - 1] for n in range(1, 15)
         ]  # H_{n+1} - H_n
         for g1, g2 in zip(gains, gains[1:]):
             assert g2 <= g1 + 1e-12
-        assert abs(block_entropy(parry, 10) - LOG_PHI) < 0.02
+        assert abs(parry.block_entropy(10) - LOG_PHI) < 0.02
+        # the closed form is the entropy of the block distribution
+        for n in range(1, 9):
+            assert vals[n - 1] == pytest.approx(block_entropy(parry, n), abs=1e-12)
 
     def test_iid_block_entropy(self, fair):
         for n in (1, 5, 12):
-            assert block_entropy(fair, n) == pytest.approx(math.log(2), abs=1e-12)
+            assert fair.block_entropy(n) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def periodic_occurrences(period, word) -> int:
@@ -128,7 +189,7 @@ class TestEmpirical:
         pt = PeriodicPoint((0, 0, 1, 0, 1))
         mu = EmpiricalMeasure(pt, full_shift(2))
         for n in range(1, 5):
-            dist = mu.block_distribution(n)
+            dist = block_distribution(mu, n)
             assert sum(dist.values()) == 1
             # invariance: sum over left-extensions equals the word mass
             if n < 4:
@@ -217,22 +278,11 @@ class TestDistance:
 
 def test_sturmian_measure_masses():
     st_shift = Sturmian(sqrt_d(2) - 1)
-    mu = SturmianMeasure(st_shift)
+    mu = SturmianArcMeasure(st_shift)
     assert mu.mass((1,)) == sqrt_d(2) - 1
     assert mu.mass((0,)) == 2 - sqrt_d(2)
     total = sum((mu.mass(w) for w in st_shift.language(6)), qr(0))
     assert total == 1
-
-
-def markov_to_json(measure: MarkovMeasure) -> dict:
-    """The config JSON of a Markov measure, as `measure_from_json` reads it."""
-    return {"kind": "markov", "P": [[str(x) for x in row] for row in measure.P],
-            "pi": [str(x) for x in measure.pi]}
-
-
-def test_measure_json_round_trip(fair):
-    clone = measure_from_json(markov_to_json(fair), subshift=full_shift(2))
-    assert clone.mass((0, 1, 1)) == fair.mass((0, 1, 1))
 
 
 def test_cylinders_listed_once_per_config():

@@ -6,6 +6,7 @@ from suspshift.quadratic import sqrt_d
 from suspshift.measures import DMetricConfig, d_distance
 from suspshift.periodic import PeriodicCensus, _census_distance, global_periodic_growth, p_k
 from suspshift.subshifts import Sturmian, full_shift, golden_mean_sft
+from test_measures import block_distribution
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -109,7 +110,8 @@ class TestPk:
         # with one 1-block measure and one period count once
         close = [o for o in full_census.orbits_up_to(entry.period)
                  if d_distance(o.measure, entry.measure, cfg).value < 10.0]
-        measures = {tuple(sorted(o.measure.block_distribution(1).items())) + (o.period,) for o in close}
+        measures = {tuple(sorted(block_distribution(o.measure, 1).items())) + (o.period,)
+                    for o in close}
         measure_count = math.log(max(len(measures), 1)) / entry.period
         assert orbit_count >= measure_count
 

@@ -14,6 +14,11 @@ method or an `__init__` is passed by some call in those places, by keyword
 or by position; a default nobody else sets is a constant, not a knob.
 Calls are matched by name, as methods are above: an `__init__` by its
 class's name, and a `*args` or `**kwargs` in a call passes everything.
+
+Likewise the config vocabulary is what the shipped files use: every string
+a `*_from_json` reader or the cli's measure reader compares (a kind, a key,
+a measure spec) occurs quoted in some file under `configs/`, `scripts/` or
+`bench/`.
 """
 
 import ast
@@ -191,6 +196,33 @@ def test_every_default_is_passed_by_a_caller_outside_the_tests():
     assert not unexpected, "only tests set: " + ", ".join(unexpected)
     stale = sorted(set(ALLOWED_DEFAULTS) - set(unset))
     assert not stale, "allowed but set or gone: " + ", ".join(stale)
+
+
+def _compared_strings():
+    """(reader, string) for each string constant compared in a
+    `*_from_json` function of `src/suspshift` or in `cli._measure_param`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.FunctionDef) or not (
+                    node.name.endswith("from_json") or node.name == "_measure_param"):
+                continue
+            for compare in ast.walk(node):
+                if isinstance(compare, ast.Compare):
+                    for side in (compare.left, *compare.comparators):
+                        for const in ast.walk(side):
+                            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                                yield f"{path.stem}.{node.name}", const.value
+
+
+def test_config_vocabulary_is_used_by_a_shipped_file():
+    texts = [path.read_text() for folder in ("configs", "scripts", "bench")
+             for path in sorted((ROOT / folder).glob("*")) if path.suffix in (".json", ".py")]
+    compared = sorted(set(_compared_strings()))
+    readers = {reader for reader, _ in compared}
+    assert {"subshifts.subshift_from_json", "cli._measure_param"} <= readers
+    unused = [f"{reader}: {word!r}" for reader, word in compared
+              if not any(f'"{word}"' in text or f"'{word}'" in text for text in texts)]
+    assert not unused, "no shipped config, script or bench workload uses " + ", ".join(unused)
 
 
 def test_all_names_resolve():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from suspshift.quadratic import _make, as_qr, qr, sign_surd, sqrt_d
 from suspshift.subshifts import (
     Cylinder,
-    ProductSubshift,
     SFT,
     Sturmian,
     Subshift,
@@ -138,7 +136,7 @@ class TestSturmian:
 
     def test_cylinder_measures_sum_to_one(self, sturmian):
         total = sum(
-            (sturmian.cylinder_measure(w) for w in sturmian.language(5)),
+            (arc_length(sturmian, w) for w in sturmian.language(5)),
             qr(0),
         )
         assert total == qr(1)
@@ -153,10 +151,29 @@ class TestSturmian:
         assert topological_entropy(sturmian, horizon=32) < 0.12
 
 
+def cylinder_arc(st: Sturmian, word: Word, anchor: int = 0):
+    """The integer arc (la, lb, ha, hb) of the phases whose coding matches
+    `word` at `anchor`, as `Sturmian.walk` leaves it ([0, 1) for the empty
+    word), or None."""
+    state = st.walk(word, (anchor, None))
+    return None if state is None else state[1] or (0, 0, st.alpha.C, 0)
+
+
+def arc_length(st: Sturmian, word: Word):
+    """The mass of the cylinder of `word` under the unique invariant measure
+    of `st`: the length of its arc, exact.  The rotation keeps Lebesgue
+    measure, so the arc read from coordinate 0 serves any anchor."""
+    arc = cylinder_arc(st, word)
+    if arc is None:
+        return as_qr(0, st.alpha.d)
+    la, lb, ha, hb = arc
+    return _make(ha - la, hb - lb, st.alpha.C, st.alpha.d)
+
+
 def cylinder_arcs(st: Sturmian, word: Word, anchor: int = 0):
     """Arcs of phases whose coding matches `word` at `anchor`: the integer
-    arc of `Sturmian._cylinder` as non-wrapping [lo, hi) pairs in [0, 1)."""
-    arc = st._cylinder(word, anchor)
+    arc of `cylinder_arc` as non-wrapping [lo, hi) pairs in [0, 1)."""
+    arc = cylinder_arc(st, word, anchor)
     if arc is None:
         return []
     (la, lb, ha, hb), d, C = arc, st.alpha.d, st.alpha.C
@@ -203,16 +220,8 @@ class TestIntegerArcs:
                 for anchor in anchors:
                     ref = qr_cylinder_arcs(st, w, anchor)
                     assert cylinder_arcs(st, w, anchor) == ref
-                    assert st.cylinder_measure(w) == sum((hi - lo for lo, hi in ref), qr(0))
+                    assert arc_length(st, w) == sum((hi - lo for lo, hi in ref), qr(0))
                 assert st.admissible(w) == (w in words)
-
-
-class TestProductAndGenerated:
-    def test_product_language(self, golden):
-        prod = ProductSubshift(golden, full_shift(2))
-        assert prod.alphabet_size == 4
-        assert len(prod.language(2)) == 3 * 4
-        assert len(prod.periodic_points(2)) == lucas(2) * 4
 
 
 def verify_factor_closure(subshift: Subshift, n: int) -> bool:
@@ -271,12 +280,9 @@ def test_cylinder_disjointness():
 
 
 def subshift_to_json(system: Subshift) -> dict:
-    """The config JSON of an SFT, a Sturmian shift or a product of them, as
-    `subshift_from_json` reads it: an adjacency matrix for an SFT that
-    forbids only words of length 2, else its forbidden words."""
-    if isinstance(system, ProductSubshift):
-        return {"kind": "product", "first": subshift_to_json(system.first),
-                "second": subshift_to_json(system.second)}
+    """The config JSON of an SFT or a Sturmian shift, as `subshift_from_json`
+    reads it: an adjacency matrix for an SFT that forbids only words of
+    length 2, else its forbidden words."""
     if isinstance(system, Sturmian):
         return {"kind": "sturmian", "alpha": system.alpha.to_json(),
                 "convention": system.convention}
@@ -290,7 +296,7 @@ def subshift_to_json(system: Subshift) -> dict:
 
 
 def test_json_round_trip(golden, sturmian):
-    for system in (golden, sturmian, ProductSubshift(golden, full_shift(2))):
+    for system in (golden, sturmian):
         clone = subshift_from_json(subshift_to_json(system))
         assert clone.language(4) == system.language(4)
 
@@ -334,7 +340,7 @@ def test_walk_admissible_matches_sft_reference(data):
 def test_walk_admissible_edge_cases(golden, sturmian):
     dead = SFT(2, forbidden=[(0,), (1,)])
     assert dead.is_empty() and not dead.admissible(())
-    for system in (golden, sturmian, ProductSubshift(golden, sturmian)):
+    for system in (golden, sturmian):
         assert system.admissible(())
         with pytest.raises(ValueError, match="outside alphabet"):
             system.admissible((0, system.alphabet_size))
@@ -359,19 +365,9 @@ def test_levels_match_sft_language(forbidden):
         assert words == sorted(sft._language(n))
 
 
-def test_product_walk_matches_component_walks(golden, sturmian):
-    prod = ProductSubshift(golden, sturmian)
-    for n in range(1, 8):
-        assert prod.language(n) == {prod.join(w1, w2) for w1 in golden.language(n)
-                                    for w2 in sturmian.language(n)}
-    for w in itertools.product(range(4), repeat=5):
-        w1, w2 = tuple(c // 2 for c in w), tuple(c % 2 for c in w)
-        assert prod.admissible(w) == (golden.admissible(w1) and sturmian.admissible(w2))
-
-
 def test_count_matches_language_size(golden, sturmian):
     systems = (golden, full_shift(3), SFT(2, forbidden=[(0, 1, 1), (1, 0, 1, 0)]),
-               sturmian, Sturmian(sqrt_d(7) - 2, "high"), ProductSubshift(golden, sturmian))
+               sturmian, Sturmian(sqrt_d(7) - 2, "high"))
     for system in systems:
         for n in range(1, 11):
             assert system.count(n) == len(system.language(n))

@@ -11,9 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import suspshift.quadratic as quadratic
 import suspshift.suspension as suspension
 from suspshift.quadratic import QuadraticReal, as_qr, qr, sqrt_d
-from suspshift.measures import (
-    MarkovMeasure, SturmianMeasure, bernoulli, parry_measure, sum_exact,
-)
+from suspshift.measures import MarkovMeasure, bernoulli, parry_measure, sum_exact
 from suspshift.recode import ChainPoint
 from suspshift.subshifts import (
     Cylinder, PeriodicPoint, PointOracle, Sturmian, full_shift, golden_mean_sft, word_str,
@@ -46,6 +44,7 @@ from test_exact_oracles import (
     _return_key,
     scan_match,
 )
+from test_measures import SturmianArcMeasure, stationary_vector
 from test_subshifts import cylinders_disjoint, subshift_to_json
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -629,7 +628,7 @@ class TestTowerEntropy:
     def test_sturmian_tower_is_low_entropy(self):
         # zero-entropy base: only finite-n overhead remains, decreasing in n
         st_shift = Sturmian(sqrt_d(2) - 1)
-        mu = SturmianMeasure(st_shift)
+        mu = SturmianArcMeasure(st_shift)
         roof = Roof.by_symbol([qr(1), qr(2)])
         v12 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 12) / 12
         v8 = time_delta_tower_entropy(mu, roof, 1, {0: "a", 1: "b"}, 8) / 8
@@ -735,7 +734,8 @@ def law_cases(draw):
             rows.append([Fraction(w, sum(weights)) for w in weights])
         try:
             measure = MarkovMeasure(
-                rows, subshift=golden_mean_sft() if kind == "golden" else full_shift(k))
+                rows, stationary_vector(rows),
+                golden_mean_sft() if kind == "golden" else full_shift(k))
         except ValueError:  # no unique stationary vector
             assume(False)
     symbols = draw(st.lists(st.integers(0, measure.states - 1), min_size=1,
