@@ -22,8 +22,8 @@ from suspshift.subshifts import (
     SFT,
     Cylinder,
     EmptySubshift,
+    Sturmian,
     parse_word,
-    subshift_from_json,
     word_str,
 )
 from suspshift.measures import DMetricConfig, bernoulli, parry_measure, sum_exact
@@ -31,7 +31,6 @@ from suspshift.suspension import (
     Roof,
     SuspensionFlow,
     abramov_entropy,
-    flow_from_json,
     induced_entropy_identity,
     kac_expected_return,
     make_flow_point,
@@ -109,10 +108,40 @@ def _measure_param(cfg, subshift):
     return bernoulli([Fraction(1, 2), Fraction(1, 2)], subshift=subshift)
 
 
+def subshift_from_json(obj, path: str):
+    """The subshift at config key `path`: an SFT from `alphabet_size` and
+    `adjacency` or `forbidden`, or a Sturmian shift from `alpha` and
+    `convention`."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "sft":
+        size = _checked_integer(f"{path}.alphabet_size", obj.get("alphabet_size"), 1)
+        if "adjacency" in obj:
+            return SFT(size, adjacency=obj["adjacency"])
+        return SFT(size, forbidden=[parse_word(f) for f in obj["forbidden"]])
+    if kind == "sturmian":
+        return Sturmian(_checked_number(f"{path}.alpha", obj.get("alpha"), rational=False),
+                        obj.get("convention", "low"))
+    raise ConfigError(f"config key '{path}.kind' must be \"sft\" or \"sturmian\", not {kind!r}")
+
+
+def flow_from_json(obj) -> SuspensionFlow:
+    """The suspension flow at config key `system`: a subshift `base` and a
+    `roof` whose `table` maps each word of length 2 `window` + 1 to a number
+    > 0."""
+    roof = obj.get("roof")
+    table = roof.get("table") if isinstance(roof, dict) else None
+    if not isinstance(table, dict):
+        raise ConfigError(f"config key 'system.roof.table' must be a JSON object, not {table!r}")
+    window = _checked_integer("system.roof.window", roof.get("window", 0), 0)
+    return SuspensionFlow(subshift_from_json(obj.get("base"), "system.base"), Roof(window, {
+        parse_word(w): _checked_number("system.roof.table", v, rational=False)
+        for w, v in table.items()}))
+
+
 def _sft_system(cfg) -> SFT:
     """The config's system, which must be an SFT: orbits are sampled by a
     walk on its graph."""
-    system = subshift_from_json(cfg["system"])
+    system = subshift_from_json(cfg["system"], "system")
     if not isinstance(system, SFT):
         raise ConfigError(f"config key 'system' must be an SFT, not {cfg['system']['kind']!r}")
     return system
@@ -207,18 +236,18 @@ def _class_rows(counts):
 
 
 def cmd_entropy(cfg, seed, out_dir, chash):
-    system = subshift_from_json(cfg["system"])
-    horizon = _integer(cfg["parameters"], "horizon", 20)
+    system = subshift_from_json(cfg["system"], "system")
+    p = cfg["parameters"]
+    horizon, n_max = _integer(p, "horizon", 20), _integer(p, "blocks", 12)
     rows = []
     exact = system.entropy_exact()
-    mu = _measure_param(cfg, system) if "measure" in cfg["parameters"] else None
+    mu = _measure_param(cfg, system) if "measure" in p else None
     if exact is not None:
         rows.append(("perron", repr(exact)))
     count_rate = math.log(system.count(horizon)) / horizon
     rows.append((f"count_n{horizon}", repr(count_rate)))
     files = [_write_csv(out_dir, "entropy.csv", ("method", "nats"), rows, chash)]
     if mu is not None:
-        n_max = _integer(cfg["parameters"], "blocks", 12)
         brows = []
         prev_total = 0.0
         for n in range(1, n_max + 1):
@@ -233,7 +262,7 @@ def cmd_entropy(cfg, seed, out_dir, chash):
 
 
 def cmd_marker(cfg, seed, out_dir, chash):
-    system = subshift_from_json(cfg["system"])
+    system = subshift_from_json(cfg["system"], "system")
     p = cfg["parameters"]
     marker = build_marker(
         system, _integer(p, "n", None), _integer(p, "max_word_len", 20),
@@ -245,14 +274,10 @@ def cmd_marker(cfg, seed, out_dir, chash):
     return files
 
 
-def _load_flow(cfg) -> SuspensionFlow:
-    return flow_from_json(cfg["system"])
-
-
 def _two_valued_from_cfg(cfg):
     p = cfg["parameters"]
     return build_two_valued_instance(
-        _load_flow(cfg), _number(p, "p", None, rational=False),
+        flow_from_json(cfg["system"]), _number(p, "p", None, rational=False),
         _number(p, "q", None, rational=False), _number(p, "epsilon", "1/10", rational=True),
         _number(p, "delta", None, rational=False), _integer(p, "depth", 420))
 
@@ -284,7 +309,7 @@ def cmd_recode_two_valued(cfg, seed, out_dir, chash):
 def _marked_binary_from_cfg(cfg):
     p = cfg["parameters"]
     return build_marked_binary_instance(
-        _load_flow(cfg), _number(p, "p", None, rational=False),
+        flow_from_json(cfg["system"]), _number(p, "p", None, rational=False),
         _number(p, "q", None, rational=False), _integer(p, "M", 2),
         _number(p, "delta", None, rational=False), _integer(p, "depth", 420))
 
@@ -356,7 +381,7 @@ def cmd_ocap(cfg, seed, out_dir, chash):
 
 
 def cmd_abramov_check(cfg, seed, out_dir, chash):
-    flow = _load_flow(cfg)
+    flow = flow_from_json(cfg["system"])
     mu = _measure_param(cfg, flow.base)
     p = cfg["parameters"]
     n = _integer(p, "n", 14, least=3)  # the gain reads level n - 2
@@ -414,7 +439,7 @@ def cmd_kac_check(cfg, seed, out_dir, chash):
 
 
 def cmd_induced_check(cfg, seed, out_dir, chash):
-    system = subshift_from_json(cfg["system"])
+    system = subshift_from_json(cfg["system"], "system")
     a_symbols = _a_symbols(cfg, system)
     mu = _measure_param(cfg, system)
     p = cfg["parameters"]
@@ -434,7 +459,7 @@ def cmd_induced_check(cfg, seed, out_dir, chash):
 
 
 def cmd_periodic(cfg, seed, out_dir, chash):
-    system = subshift_from_json(cfg["system"])
+    system = subshift_from_json(cfg["system"], "system")
     p = cfg["parameters"]
     n_max = _integer(p, "n_max", 12)
     dconf = DMetricConfig(system, depth=_integer(p, "metric_depth", 8))

@@ -79,27 +79,33 @@ class PeriodicPoint(PointOracle):
 class SturmianPoint(PointOracle):
     """Rotation coding of the orbit of `phase` under x -> x + alpha mod 1.
 
-    Symbols are memoized by index in a plain dict.  The phase and the angle
-    never change, so a symbol computed once by `Sturmian.symbol_at` is final;
-    `block` computes only the indices it has not seen.  FlowPoints along one
-    orbit share their oracle, and with it the memo.
+    The symbols known so far are one contiguous window x[lo, hi), a list.
+    The phase and the angle never change, so a symbol computed once by
+    `Sturmian.symbol_at` is final.  A read inside the window is one slice; a
+    read that overlaps or touches it extends it on that side, computing each
+    new index once; a read apart from it starts a new window and never fills
+    the gap, so a far index costs only the symbols read there.  FlowPoints
+    along one orbit share their oracle, and with it the window.
     """
 
     def __init__(self, sturmian: "Sturmian", phase):
         self.st = sturmian
         self.phase = as_qr(phase, sturmian.alpha.d)
-        self._symbols = {}
+        self._lo, self._window = 0, []
 
     def block(self, i, j):
-        memo = self._symbols
-        symbol_at, phase = self.st.symbol_at, self.phase
-        out = []
-        for k in range(i, j):
-            c = memo.get(k)
-            if c is None:
-                c = memo[k] = symbol_at(phase, k)
-            out.append(c)
-        return tuple(out)
+        lo, window = self._lo, self._window
+        hi = lo + len(window)
+        if i < lo or hi < j:
+            symbol_at, phase = self.st.symbol_at, self.phase
+            if j < lo or hi < i:  # apart from the window: a new one from i
+                self._lo = lo = hi = i
+                self._window = window = []
+            window += [symbol_at(phase, k) for k in range(hi, j)]
+            if i < lo:
+                window[:0] = [symbol_at(phase, k) for k in range(i, lo)]
+                self._lo = lo = i
+        return tuple(window[i - lo:j - lo])
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +486,3 @@ class Sturmian(Subshift):
 
     def periodic_points(self, n: int) -> list:
         return []  # irrational rotation codings are aperiodic
-
-
-def subshift_from_json(obj: dict) -> Subshift:
-    kind = obj["kind"]
-    if kind == "sft":
-        size = int(obj["alphabet_size"])
-        if "adjacency" in obj:
-            return SFT(size, adjacency=obj["adjacency"])
-        return SFT(size, forbidden=[parse_word(f) for f in obj["forbidden"]])
-    if kind == "sturmian":
-        return Sturmian(
-            QuadraticReal.from_json(obj["alpha"]), obj.get("convention", "low")
-        )
-    raise ValueError(f"unknown subshift kind {kind!r}")

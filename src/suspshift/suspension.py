@@ -169,12 +169,12 @@ class ReturnPlan:
     index), so the first landing in a column is the lowest rank hit there.
     A column is decided by its base window [lo, hi), the union of the roof
     window [-m, m] and every piece's cylinder.  `outcomes` maps each window
-    met to (rx, ry, ranks): the pair of its roof and the ascending ranks of
-    the pieces whose cylinder it matches and whose offset lies below that
-    roof.  It holds one entry per distinct window met, so it is bounded by
-    the number of words of length hi - lo in the orbits returned along
-    (n + 1 for windows of length n on a Sturmian orbit), and it is dropped
-    with the plan.
+    met to (rx, ry, hits): the pair of its roof and, by ascending rank, the
+    (piece index, offset, ox, oy) of the pieces whose cylinder it matches
+    and whose offset lies below that roof.  It holds one entry per distinct
+    window met, so it is bounded by the number of words of length hi - lo in
+    the orbits returned along (n + 1 for windows of length n on a Sturmian
+    orbit), and it is dropped with the plan.
     """
 
     def __init__(self, roof: Roof, section: CrossSection):
@@ -200,12 +200,14 @@ class ReturnPlan:
         self.outcomes = {}
 
     def outcome(self, window: tuple):
-        """(rx, ry, ranks) of the column whose base window is `window`, kept
-        in `outcomes`; a KeyError if the roof is undefined on its roof word."""
+        """(rx, ry, hits) of the column whose base window is `window`, kept
+        in `outcomes`: hits are the (piece index, offset, ox, oy) of the
+        pieces it matches below its roof, by rank; a KeyError if the roof is
+        undefined on its roof word."""
         rx, ry = self._roof_pairs[window[self._roof_word]]
-        ranks = tuple(r for r, (_, _, ox, oy, where, word) in enumerate(self.ranked)
-                      if window[where] == word and sign_surd(rx - ox, ry - oy, self.d) > 0)
-        out = self.outcomes[window] = (rx, ry, ranks)
+        hits = tuple((k, off, ox, oy) for k, off, ox, oy, where, word in self.ranked
+                     if window[where] == word and sign_surd(rx - ox, ry - oy, self.d) > 0)
+        out = self.outcomes[window] = (rx, ry, hits)
         return out
 
 
@@ -219,55 +221,61 @@ def return_to_section(
     returns at the next hit, never at time 0.
 
     Runs on the section's `ReturnPlan` for the flow's roof.  The first column
-    reads its whole base window [lo, hi); each later shift drops the window's
-    first symbol and reads one more, so every base symbol is read once.  A
-    window is resolved once per plan (`ReturnPlan.outcome`) and then looked
-    up in the plan's memo, so a shift is one one-symbol read, one lookup and
-    two integer adds to the roof sum.  Only the first column compares offsets
-    with the start height, one `sign_surd` per candidate; in every later
-    column the hit is the lowest rank listed.  The time, roof sum plus
-    landing offset minus start height over lcm(L0, height denominator), is
-    built once, and the landing height is the piece's own offset.
+    reads its whole base window [lo, hi) as one block, and it alone compares
+    offsets with the start height, one `sign_surd` per hit, before the shift
+    loop starts.  Each later shift drops the window's first symbol and reads
+    one more, so every base symbol is read once.  A window is resolved once
+    per plan (`ReturnPlan.outcome`) and then looked up in the plan's memo, so
+    a shift is one one-symbol read, one lookup and two integer adds to the
+    roof sum; its hit, if any, is the first one listed.  The time, roof sum
+    plus landing offset minus start height over lcm(L0, height denominator),
+    is built once, and the landing height is the piece's own offset.
     """
     roof = flow_sys.roof
     plan = section.plan(roof)
     h = p.height
     d = common_radicand((h,), plan.d)
-    L0, ranked, outcomes, outcome = plan.L0, plan.ranked, plan.outcomes, plan.outcome
+    L0, outcomes, outcome = plan.L0, plan.outcomes, plan.outcome
     lo, hi = plan.lo, plan.hi
     oracle = p.oracle
     block = oracle.block
     hx, hy, hC = h.A * L0, h.B * L0, h.C
-    idx = start = p.index
+    idx = p.index
     sx = sy = 0  # the roofs passed, over L0
     irrational = False  # whether one of them is
-    for _ in range(max_shifts):
-        try:
-            if idx == start:
-                window = tuple(block(idx + lo, idx + hi))
-            else:
-                window = window[1:] + (block(idx + hi - 1, idx + hi)[0],)
-            rx, ry, ranks = outcomes.get(window) or outcome(window)
-        except (HorizonExceeded, KeyError):
-            roof.value_at(oracle, idx)  # the roof's own read and lookup fail first
-            raise
-        for r in ranks:
-            k, off, ox, oy, _, _ = ranked[r]
-            # in the first column only offsets above the start height count
-            if idx != start or sign_surd(ox * hC - hx, oy * hC - hy, d) > 0:
-                L = math.lcm(L0, hC)
-                f, g = L // L0, L // hC
-                # a rational time keeps the radicand of its last irrational
-                # summand, or the start height's when no summand is irrational
-                td = d if irrational or oy else h.d
-                t = _make((sx + ox) * f - h.A * g, (sy + oy) * f - h.B * g, L, td)
-                return t, FlowPoint(oracle, idx, off), k
-        sx += rx
-        sy += ry
-        if ry:
-            irrational = True
-        idx += 1
-    raise NotHit(f"no return within {max_shifts} base shifts")
+    try:
+        window = block(idx + lo, idx + hi)
+        rx, ry, hits = outcomes.get(window) or outcome(window)
+        for hit in hits:  # offsets above the start height only
+            if sign_surd(hit[2] * hC - hx, hit[3] * hC - hy, d) > 0:
+                break
+        else:
+            hit = None
+        for _ in range(max_shifts - 1):
+            if hit:
+                break
+            sx += rx
+            sy += ry
+            if ry:
+                irrational = True
+            idx += 1
+            window = window[1:] + (block(idx + hi - 1, idx + hi)[0],)
+            rx, ry, hits = outcomes.get(window) or outcome(window)
+            if hits:
+                hit = hits[0]
+    except (HorizonExceeded, KeyError):
+        roof.value_at(oracle, idx)  # the roof's own read and lookup fail first
+        raise
+    if not hit:
+        raise NotHit(f"no return within {max_shifts} base shifts")
+    k, off, ox, oy = hit
+    L = math.lcm(L0, hC)
+    f, g = L // L0, L // hC
+    # a rational time keeps the radicand of its last irrational summand, or
+    # the start height's when no summand is irrational
+    td = d if irrational or oy else h.d
+    t = _make((sx + ox) * f - h.A * g, (sy + oy) * f - h.B * g, L, td)
+    return t, FlowPoint(oracle, idx, off), k
 
 
 def abramov_entropy(h_base: float, roof_integral) -> float:
@@ -578,15 +586,3 @@ def sample_sft_orbit(sft, length: int, rng) -> FiniteWordOracle:
     `sft.memory` symbols further."""
     walk = SFTWalk(sft, rng)
     return FiniteWordOracle(walk.block(0, length + sft.memory)[:length])
-
-
-def flow_from_json(obj: dict) -> SuspensionFlow:
-    from suspshift.subshifts import parse_word, subshift_from_json
-
-    base = subshift_from_json(obj["base"])
-    roof_obj = obj["roof"]
-    table = {
-        parse_word(w): QuadraticReal.from_json(v)
-        for w, v in roof_obj["table"].items()
-    }
-    return SuspensionFlow(base, Roof(int(roof_obj.get("window", 0)), table))

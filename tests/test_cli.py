@@ -241,6 +241,19 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
      "delta"),
     ("abramov-check", {"system": GOLDEN_FLOW, "parameters": {"measure": "parry", "delta": "-1"}},
      "delta"),
+    ("entropy", {"system": GOLDEN, "parameters": {"measure": "parry", "blocks": 0}}, "blocks"),
+    ("entropy", {"system": {**GOLDEN, "alphabet_size": "x"}, "parameters": {}},
+     "system.alphabet_size"),
+    ("entropy", {"system": {"alphabet_size": 2, "forbidden": ["11"]}, "parameters": {}},
+     "system.kind"),
+    ("marker", {"system": {**STURMIAN, "alpha": "x"}, "parameters": {"n": 5}}, "system.alpha"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "roof": {"window": 0, "table": {
+        "0": {"a": "1"}, "1": {"b": "1"}}}}, "parameters": {"measure": "parry"}},
+     "system.roof.table"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "roof": {"window": "x", "table": {}}},
+                       "parameters": {"measure": "parry"}}, "system.roof.window"),
+    ("recode-dex", {"system": {**ROOT2_FLOW, "base": {"kind": "markov"}}, "parameters": RECODE},
+     "system.base.kind"),
 ], ids=["ocap-sturmian", "kac-check-sturmian", "entropy-horizon-0", "entropy-horizon-negative",
         "kac-check-symbol-3", "kac-check-no-symbol", "kac-check-no-return",
         "induced-check-symbol-3", "kac-check-symbols-not-a-list",
@@ -255,7 +268,9 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
         "abramov-check-default-measure-on-sturmian",
         "periodic-eps-a-string", "periodic-eps-not-a-number", "recode-dex-epsilon-a-list",
         "recode-dep-q-null", "generator-roundtrip-p-without-a", "abramov-check-delta-0",
-        "abramov-check-delta-negative"])
+        "abramov-check-delta-negative", "entropy-blocks-0", "entropy-alphabet-size-a-word",
+        "entropy-no-kind", "marker-alpha-a-word", "abramov-check-roof-value-without-a",
+        "abramov-check-roof-window-a-word", "recode-dex-base-kind-markov"])
 def test_bad_parameter_emits_config_error_naming_its_key(tmp_path, capsys, command, config,
                                                          key):
     # a bad value of one key ends in a ConfigError that names it, before

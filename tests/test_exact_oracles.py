@@ -3,7 +3,8 @@
 - `Sturmian.symbol_at` (integer floors of the mechanical word) against the
   definition frac(phase + i*alpha) in [lo, hi), evaluated here with
   QuadraticReal sign tests;
-- the per-point symbol memo of `SturmianPoint.block` against fresh points;
+- the symbol window of `SturmianPoint.block` against fresh points and
+  `symbol_at`, and the symbols it computes;
 - `return_to_section` on its integer `ReturnPlan`, whose group index finds
   the pieces a column lands on, against `_reference_return`, the
   QuadraticReal loop it replaced, kept here on a per-piece scan;
@@ -14,9 +15,12 @@
 - `word_str` against the per-symbol join on any word.
 """
 
+import collections
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +32,7 @@ from suspshift.subshifts import (
     Cylinder,
     PeriodicPoint,
     Sturmian,
+    SturmianPoint,
     full_shift,
     golden_mean_sft,
     word_str,
@@ -40,6 +45,7 @@ from suspshift.suspension import (
     SuspensionFlow,
     return_to_section,
 )
+from test_golden import ROOT
 
 ANGLES = {
     "sqrt2-1": sqrt_d(2) - 1,
@@ -136,7 +142,7 @@ def test_rational_phase_with_other_radicand():
 
 
 # ---------------------------------------------------------------------------
-# the per-point memo
+# the per-point symbol window
 
 
 windows = st.lists(
@@ -164,6 +170,96 @@ def test_memo_overlapping_negative_out_of_order():
         expected = tuple(sturmian.symbol_at(phase, k) for k in range(i, j))
         assert shared.block(i, j) == expected
         assert sturmian.point(phase).block(i, j) == expected
+
+
+def _draw_read(data, point):
+    """A read [i, j) drawn against the point's window [lo, hi): around its
+    left or its right end, so that it lies inside the window, overlaps it or
+    touches it, or a far jump to an index up to 10^15 away."""
+    lo = point._lo
+    hi = lo + len(point._window)
+    before, after = data.draw(st.integers(0, 20)), data.draw(st.integers(0, 20))
+    where = data.draw(st.sampled_from(["left end", "right end", "far"]))
+    if where == "left end":
+        return lo - before, lo + after
+    if where == "right end":
+        return hi - before, hi + after
+    i = data.draw(indices)
+    return i, i + after
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_window_reads_equal_symbol_at(case, data):
+    sturmian = SYSTEMS[case]
+    phase, start = data.draw(phase_and_index(sturmian.alpha))
+    point = sturmian.point(phase)
+    point.block(start, start + data.draw(st.integers(0, 20)))
+    for _ in range(data.draw(st.integers(1, 12))):
+        i, j = _draw_read(data, point)
+        assert point.block(i, j) == tuple(sturmian.symbol_at(phase, k) for k in range(i, j))
+    lo = point._lo
+    assert point._window == [sturmian.symbol_at(phase, k)
+                             for k in range(lo, lo + len(point._window))]
+
+
+def test_far_jump_computes_only_the_symbols_it_reads(monkeypatch):
+    sturmian = SYSTEMS[("sqrt2-1", "low")]
+    computed = []
+    symbol_at = Sturmian.symbol_at
+    monkeypatch.setattr(Sturmian, "symbol_at",
+                        lambda self, phase, i: computed.append(i) or symbol_at(self, phase, i))
+    point = sturmian.point(qr(Fraction(3, 10)))
+    far = 10**15
+    for (i, j), new in [((0, 30), range(0, 30)),
+                        ((far, far + 5), range(far, far + 5)),
+                        ((far - 3, far + 8), [*range(far - 3, far), *range(far + 5, far + 8)]),
+                        ((far + 1, far + 4), []),
+                        ((-far, -far + 1), [-far]),
+                        ((-far - 2, -far), [-far - 2, -far - 1])]:
+        computed.clear()
+        point.block(i, j)
+        assert sorted(computed) == list(new)
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, imported without writing bytecode under bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_computes_each_symbol_read_once(monkeypatch):
+    # 200 operations of the sturmian-sections stream, returns and codec
+    # round trips: every (point, index) read is computed once, on any point
+    workloads = _bench_workloads(monkeypatch)
+    built = workloads.setup_two_valued()
+    points, reads, computed = {}, set(), [0]
+    block, symbol_at = SturmianPoint.block, Sturmian.symbol_at
+
+    def counted_block(point, i, j):
+        points[id(point)] = point  # kept alive, so no two points share an id
+        reads.update((id(point), k) for k in range(i, j))
+        return block(point, i, j)
+
+    def counted_symbol_at(sturmian, phase, i):
+        computed[0] += 1
+        return symbol_at(sturmian, phase, i)
+
+    monkeypatch.setattr(SturmianPoint, "block", counted_block)
+    monkeypatch.setattr(Sturmian, "symbol_at", counted_symbol_at)
+    ops = workloads.sturmian_sections(built, random.Random(1), collections.Counter())
+    kind, run, check = next(ops)
+    for _ in range(200):
+        out = run()
+        assert check(out), kind
+        kind, run, check = ops.send(out)
+    assert computed[0] == len(reads) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from suspshift.quadratic import QuadraticReal, qr, sqrt_d
 from suspshift.generator import (
+    LETTER_A,
     LETTER_P,
     GeneratorModel,
     NoMarkersFound,
@@ -65,6 +66,17 @@ class TestNames:
         assert ReferenceWalk(gen_model).letter(p_pt) == "P"
         name = gen_model.name_of(p_pt, 15)
         assert name[len(name) // 2] == "P"
+
+    def test_height_alpha_over_a_q_column_is_named_a(self, gen_model):
+        # a 0-column is Q on [0, alpha) and A from alpha up, so a time-p step
+        # landing exactly at height alpha is named A
+        pt = gen_model.sample_point(1)
+        chain = pt.oracle
+        coord = next(c for c in range(0, 60) if chain.block(c, c + 1)[0] == 0)
+        a_pt = FlowPoint(chain, coord, gen_model.alpha)
+        assert ReferenceWalk(gen_model).letter(a_pt) == LETTER_A
+        name = gen_model.name_of(a_pt, 15)
+        assert name[len(name) // 2] == LETTER_A
 
     def test_succession_invariant(self, gen_model):
         for seed in range(40):

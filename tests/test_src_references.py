@@ -219,7 +219,7 @@ def test_config_vocabulary_is_used_by_a_shipped_file():
              for path in sorted((ROOT / folder).glob("*")) if path.suffix in (".json", ".py")]
     compared = sorted(set(_compared_strings()))
     readers = {reader for reader, _ in compared}
-    assert {"subshifts.subshift_from_json", "cli._measure_param"} <= readers
+    assert {"cli.subshift_from_json", "cli._measure_param"} <= readers
     unused = [f"{reader}: {word!r}" for reader, word in compared
               if not any(f'"{word}"' in text or f"'{word}'" in text for text in texts)]
     assert not unused, "no shipped config, script or bench workload uses " + ", ".join(unused)

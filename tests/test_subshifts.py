@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from suspshift.cli import subshift_from_json
 from suspshift.quadratic import _make, as_qr, qr, sign_surd, sqrt_d
 from suspshift.subshifts import (
     Cylinder,
@@ -14,7 +15,6 @@ from suspshift.subshifts import (
     full_shift,
     golden_mean_sft,
     parse_word,
-    subshift_from_json,
     topological_entropy,
     word_str,
 )
@@ -297,7 +297,7 @@ def subshift_to_json(system: Subshift) -> dict:
 
 def test_json_round_trip(golden, sturmian):
     for system in (golden, sturmian):
-        clone = subshift_from_json(subshift_to_json(system))
+        clone = subshift_from_json(subshift_to_json(system), "system")
         assert clone.language(4) == system.language(4)
 
 

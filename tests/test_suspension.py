@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import suspshift.quadratic as quadratic
 import suspshift.suspension as suspension
+from suspshift.cli import flow_from_json
 from suspshift.quadratic import QuadraticReal, as_qr, qr, sqrt_d
 from suspshift.measures import MarkovMeasure, bernoulli, parry_measure, sum_exact
 from suspshift.recode import ChainPoint
@@ -26,7 +27,6 @@ from suspshift.suspension import (
     SuspensionFlow,
     abramov_entropy,
     flow,
-    flow_from_json,
     induced_entropy_identity,
     kac_expected_return,
     make_flow_point,
