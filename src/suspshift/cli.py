@@ -116,8 +116,15 @@ def subshift_from_json(obj, path: str):
     if kind == "sft":
         size = _checked_integer(f"{path}.alphabet_size", obj.get("alphabet_size"), 1)
         if "adjacency" in obj:
-            return SFT(size, adjacency=obj["adjacency"])
-        return SFT(size, forbidden=[parse_word(f) for f in obj["forbidden"]])
+            rows = obj["adjacency"]
+            if not (isinstance(rows, list) and len(rows) == size and all(
+                    isinstance(row, list) and len(row) == size
+                    and all(type(e) is int and e in (0, 1) for e in row) for row in rows)):
+                raise ConfigError(f"config key '{path}.adjacency' must be a {size} x {size} "
+                                  f"matrix of 0 and 1, not {rows!r}")
+            return SFT(size, adjacency=rows)
+        return SFT(size, forbidden=_words(f"{path}.forbidden", obj.get("forbidden"),
+                                          parse_word, size))
     if kind == "sturmian":
         return Sturmian(_checked_number(f"{path}.alpha", obj.get("alpha"), rational=False),
                         obj.get("convention", "low"))
@@ -133,9 +140,11 @@ def flow_from_json(obj) -> SuspensionFlow:
     if not isinstance(table, dict):
         raise ConfigError(f"config key 'system.roof.table' must be a JSON object, not {table!r}")
     window = _checked_integer("system.roof.window", roof.get("window", 0), 0)
-    return SuspensionFlow(subshift_from_json(obj.get("base"), "system.base"), Roof(window, {
-        parse_word(w): _checked_number("system.roof.table", v, rational=False)
-        for w, v in table.items()}))
+    base = subshift_from_json(obj.get("base"), "system.base")
+    words = _words("system.roof.table", list(table), parse_word, base.alphabet_size)
+    return SuspensionFlow(base, Roof(window, {
+        w: _checked_number("system.roof.table", v, rational=False)
+        for w, v in zip(words, table.values())}))
 
 
 def _sft_system(cfg) -> SFT:
@@ -180,10 +189,9 @@ def _checked_number(key, value, *, rational):
     return x.a if rational else x
 
 
-def _words(p, key, default, parse, size) -> list:
-    """The list parameter `key`, each entry read into a word by `parse`:
-    nonempty, with every symbol in 0..size-1."""
-    raw = p.get(key, default)
+def _words(key, raw, parse, size) -> list:
+    """`raw`, read from config key `key`: a nonempty list, each entry read
+    into a word by `parse`, with every symbol in 0..size-1."""
     try:
         words = [parse(x) for x in raw] if isinstance(raw, list) else []
     except (TypeError, ValueError):
@@ -196,7 +204,7 @@ def _words(p, key, default, parse, size) -> list:
 
 def _a_symbols(cfg, system) -> list:
     """The symbols of the section [a], a nonempty list over the alphabet."""
-    words = _words(cfg["parameters"], "a_symbols", [0],
+    words = _words("a_symbols", cfg["parameters"].get("a_symbols", [0]),
                    lambda s: (_checked_integer("a_symbols", s, 0),), system.alphabet_size)
     return [w[0] for w in words]
 
@@ -360,7 +368,7 @@ def cmd_generator_roundtrip(cfg, seed, out_dir, chash):
 def cmd_ocap(cfg, seed, out_dir, chash):
     system = _sft_system(cfg)
     p = cfg["parameters"]
-    cylinders = [Cylinder(w, 0) for w in _words(p, "cylinders", None, parse_word,
+    cylinders = [Cylinder(w, 0) for w in _words("cylinders", p.get("cylinders"), parse_word,
                                                 system.alphabet_size)]
     horizon = _integer(p, "horizon", 500)
     samples = _integer(p, "samples", 20)

@@ -40,16 +40,15 @@ M_CAP = 64
 class GeneratorModel:
     """Time-t map data for t = p and alpha = q - p over a marked-binary recoded flow.
 
-    The time-p walk of `name_of` runs on integers.  `den`
-    is the lcm of the denominators C of p, alpha and every atom duration;
-    a walk from a height h takes L = lcm(den, C of h), so that each height
-    on it is (x + y*sqrt(d))/L for integers x, y.  The walk's heights are h
-    plus or minus integer combinations of p and durations, so x and y stay
-    integers, adding a duration (or p) is two integer adds, and each test
-    (h < 0, h >= roof, h < alpha) is the exact sign of x' + y'*sqrt(d)
-    (`sign_surd`, comparing integer squares).  Nothing is rounded and no
-    float is involved; the walk is the exact map of the QuadraticReal
-    definition, only without building a value per step."""
+    The time-p walk of `name_of` runs on integers, in one pass.  `den` is
+    the lcm of the denominators C of p, alpha and every atom duration; a
+    walk from a height h takes L = lcm(den, C of h), so that each height on
+    it is (x + y*sqrt(d))/L for integers x, y.  Adding a duration (or p) is
+    two integer adds, and each test (h < 0, h >= roof, h < alpha) is the
+    exact sign of x' + y'*sqrt(d) (`sign_surd`, comparing integer squares).
+    The walk jumps once to time -2np and goes down the chain while h < 0;
+    from there it only goes up: each forward step adds p, then walks up
+    while h >= roof.  Nothing is rounded and no float is involved."""
 
     def __init__(self, marked_flow: RecodedFlow):
         if marked_flow.kind != "marked-binary":
@@ -127,63 +126,52 @@ class GeneratorModel:
         L = math.lcm(self.den, h.C)
         return (*pair_over(h, L), L, d)
 
-    def _bounds(self, chain: ChainPoint):
-        """The chain's offset, and the range [lo, hi] of coordinates whose
-        +-reach cover would extend nothing."""
-        off = chain.offset
-        return off, off + self.reach, off + len(chain.roofs) - self.reach
-
-    def _settle(self, chain: ChainPoint, coord: int, x: int, y: int, L: int, d: int):
-        """Normalize the height (x + y*sqrt(d))/L over coord to the unique
-        (coord', x', y') with 0 <= h' < roof(coord'): walk the chain down
-        while h < 0, else up while h >= roof.  A negative h must lie below
-        roof(coord), as it does after a time shift back, since the walk down
-        stops at h >= 0.  Each roof read first covers +-reach around its
-        coordinate, as `sample_point` does; a cover that would extend
-        nothing is skipped."""
-        reach, roofs = self.reach, chain.roofs
-        off, lo, hi = self._bounds(chain)
-        if sign_surd(x, y, d) < 0:
-            while sign_surd(x, y, d) < 0:
-                coord -= 1
-                if not lo <= coord <= hi:
-                    chain.cover(coord - reach, coord + reach)
-                    off, lo, hi = self._bounds(chain)
-                r = roofs[coord - off]
-                s = L // r.C
-                x += r.A * s
-                y += r.B * s
-            return coord, x, y
-        while True:
-            if not lo <= coord <= hi:
-                chain.cover(coord - reach, coord + reach)
-                off, lo, hi = self._bounds(chain)
-            r = roofs[coord - off]
-            s = L // r.C
-            rx, ry = r.A * s, r.B * s
-            if sign_surd(x - rx, y - ry, d) < 0:
-                return coord, x, y
-            x -= rx
-            y -= ry
-            coord += 1
-
     def _walk(self, pt: FlowPoint, n: int):
         """The name of `name_of` and the chain coordinate of its first P
-        letter (None if it has none)."""
+        letter (None if it has none).  Each roof read first covers +-reach
+        around its coordinate, as `sample_point` does, unless the coordinate
+        lies in [lo, hi], where that cover would extend nothing.  The letter
+        at k = 0 takes the walk up too: it reads, and so covers, the start
+        coordinate when the jump needs no walk down."""
         if n < 1:
             raise ValueError("n must be positive")
-        chain, settle = pt.oracle, self._settle
+        chain, reach = pt.oracle, self.reach
+        symbols, roofs = chain.symbols, chain.roofs
         x, y, L, d = self._integer_form(pt.height)
         px, py = pair_over(self.p, L)
         ax, ay = pair_over(self.alpha, L)
-        symbols = chain.symbols
-        coord, x, y = settle(chain, pt.index, x - 2 * n * px, y - 2 * n * py, L, d)
+        off = chain.offset
+        lo, hi = off + reach, off + len(roofs) - reach
+        coord, x, y = pt.index, x - 2 * n * px, y - 2 * n * py
+        while sign_surd(x, y, d) < 0:
+            coord -= 1
+            if not lo <= coord <= hi:
+                chain.cover(coord - reach, coord + reach)
+                off = chain.offset
+                lo, hi = off + reach, off + len(roofs) - reach
+            r = roofs[coord - off]
+            s = L // r.C
+            x += r.A * s
+            y += r.B * s
         letters, first = [], None
         for k in range(4 * n + 1):
             if k:
-                coord, x, y = settle(chain, coord, x + px, y + py, L, d)
-            # the settle read this coordinate's roof, so it is covered
-            if symbols[coord - chain.offset] == 1:
+                x += px
+                y += py
+            while True:
+                if not lo <= coord <= hi:
+                    chain.cover(coord - reach, coord + reach)
+                    off = chain.offset
+                    lo, hi = off + reach, off + len(roofs) - reach
+                r = roofs[coord - off]
+                s = L // r.C
+                rx, ry = r.A * s, r.B * s
+                if sign_surd(x - rx, y - ry, d) < 0:
+                    break
+                x -= rx
+                y -= ry
+                coord += 1
+            if symbols[coord - off] == 1:
                 letters.append(LETTER_P)
                 if first is None:
                     first = coord

@@ -254,6 +254,19 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
                        "parameters": {"measure": "parry"}}, "system.roof.window"),
     ("recode-dex", {"system": {**ROOT2_FLOW, "base": {"kind": "markov"}}, "parameters": RECODE},
      "system.base.kind"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "base": {**FULL2, "adjacency": 5}},
+                       "parameters": {"measure": "parry"}}, "system.base.adjacency"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "base": {**FULL2, "adjacency": [[1, 1]]}},
+                       "parameters": {"measure": "parry"}}, "system.base.adjacency"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "base": {**GOLDEN, "forbidden": 5}},
+                       "parameters": {"measure": "parry"}}, "system.base.forbidden"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "base": {"kind": "sft", "alphabet_size": 2}},
+                       "parameters": {"measure": "parry"}}, "system.base.forbidden"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "base": {**GOLDEN, "forbidden": ["1x"]}},
+                       "parameters": {"measure": "parry"}}, "system.base.forbidden"),
+    ("abramov-check", {"system": {**GOLDEN_FLOW, "roof": {"window": 0, "table": {
+        "0": {"a": "1"}, "x": {"a": "2"}}}}, "parameters": {"measure": "parry"}},
+     "system.roof.table"),
 ], ids=["ocap-sturmian", "kac-check-sturmian", "entropy-horizon-0", "entropy-horizon-negative",
         "kac-check-symbol-3", "kac-check-no-symbol", "kac-check-no-return",
         "induced-check-symbol-3", "kac-check-symbols-not-a-list",
@@ -270,7 +283,10 @@ def test_empty_sft_error_names_its_forbidden_words(tmp_path, capsys):
         "recode-dep-q-null", "generator-roundtrip-p-without-a", "abramov-check-delta-0",
         "abramov-check-delta-negative", "entropy-blocks-0", "entropy-alphabet-size-a-word",
         "entropy-no-kind", "marker-alpha-a-word", "abramov-check-roof-value-without-a",
-        "abramov-check-roof-window-a-word", "recode-dex-base-kind-markov"])
+        "abramov-check-roof-window-a-word", "recode-dex-base-kind-markov",
+        "abramov-check-adjacency-5", "abramov-check-adjacency-one-row",
+        "abramov-check-forbidden-5", "abramov-check-no-forbidden",
+        "abramov-check-forbidden-word-1x", "abramov-check-roof-key-x"])
 def test_bad_parameter_emits_config_error_naming_its_key(tmp_path, capsys, command, config,
                                                          key):
     # a bad value of one key ends in a ConfigError that names it, before

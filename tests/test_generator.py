@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from suspshift import generator
 from suspshift.quadratic import QuadraticReal, qr, sqrt_d
 from suspshift.generator import (
     LETTER_A,
@@ -316,6 +317,50 @@ def test_name_of_needs_positive_n(gen_model):
         gen_model.name_of(gen_model.sample_point(0), 0)
 
 
+def landing_point(model, ref, seed, n, case):
+    """A point of `ref.sample_point(seed)`'s chain whose walk lands exactly
+    on a column boundary.  Its coordinate c starts at the chain's offset +
+    reach, the lowest one whose cover extends nothing, so a walk that read
+    the roof of c - 1 would extend the chain to the left."""
+    chain = ref.sample_point(seed).oracle
+    c = chain.offset + ref.reach
+    if case == "column-start":  # the walk down ends at h = 0 over c
+        pt = FlowPoint(chain, c, qr(0))
+        for _ in range(2 * n):
+            pt = ref.step(pt)
+        return pt
+    if case == "no-walk-down":  # a height past the roof: the jump lands at h = 0
+        return FlowPoint(chain, c, model.p * (2 * n))
+    # the step after the point lands at h = roof(c), so the walk moves up
+    # to (c + 1, 0): a P-column followed by a 0-column, or a 0-column
+    want = (1, 0) if case == "p-roof" else (0,)
+    while chain.block(c, c + len(want)) != want:
+        c += 1
+    return FlowPoint(chain, c, qr(0) if want[0] else ref.roof_at(chain, c) - model.p)
+
+
+@pytest.mark.parametrize("case", ["column-start", "no-walk-down", "p-roof", "q-roof"])
+def test_exact_landings_match_per_step_definition(gen_model, case):
+    ref, n = ReferenceWalk(gen_model), 25
+    for seed in range(10):
+        pt, want_pt = (landing_point(gen_model, ref, seed, n, case) for _ in range(2))
+        assert gen_model.name_of(pt, n) == ref.name_of(want_pt, n), f"seed {seed}"
+        assert chain_state(pt.oracle) == chain_state(want_pt.oracle), f"seed {seed}"
+
+
+def test_name_of_matches_per_step_definition_as_the_chain_grows(gen_model):
+    # at n = 200 the walk down extends the chain to the left and the walks
+    # up extend it to the right, so the walk must read the chain's offset
+    # and cover bounds afresh after each extension
+    for seed in range(3):
+        pt = gen_model.sample_point(seed)
+        chain = pt.oracle
+        left, right = chain.offset, chain.offset + len(chain.symbols)
+        gen_model.name_of(pt, 200)
+        assert chain.offset < left and chain.offset + len(chain.symbols) > right
+    check_names(gen_model, 200, range(3))
+
+
 # ---------------------------------------------------------------------------
 # the aligned round-trip gate
 
@@ -449,3 +494,24 @@ def test_name_and_decode_do_no_quadratic_arithmetic(gen_model, monkeypatch):
         name = gen_model.name_of(pt, 50)
         decode_name(name, gen_model.K)
     assert calls == []
+
+
+def test_name_makes_one_sign_per_roof_read_and_letter(gen_model, monkeypatch):
+    # the walk down tests h < 0 once per column and once to stop, each walk
+    # up tests h >= roof once per column it reads, and each Q/A letter tests
+    # h < alpha: 10,885 sign tests over these 20 names (544.25 a name) and
+    # 85 covers, one per roof read outside the cover bounds
+    pts = [gen_model.sample_point(seed) for seed in range(20)]
+    calls = {"sign_surd": 0, "cover": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(generator, "sign_surd", counting("sign_surd", generator.sign_surd))
+    monkeypatch.setattr(ChainPoint, "cover", counting("cover", ChainPoint.cover))
+    for pt in pts:
+        gen_model.name_of(pt, 50)
+    assert calls == {"sign_surd": 10885, "cover": 85}
